@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import CORRUPTIONS, Dataset, corrupt
 from .errors import ContractError
-from .network import Model
+from .network import Model, flops_conv, flops_fc  # noqa: F401  (count formulas)
 from .trainer import evaluate
 
 E_MAC_PJ = 4.6
@@ -43,15 +43,6 @@ PLATFORM_SHARES = {
     "truenorth": (0.6, 0.4),
     "spinnaker": (0.36, 0.64),
 }
-
-
-def flops_conv(h_out, w_out, c_in, c_out, kernel) -> int:
-    """Connections of one conv presentation: every output pixel, full fan-in."""
-    return int(h_out) * int(w_out) * int(c_in) * int(c_out) * int(kernel) ** 2
-
-
-def flops_fc(n_in, n_out) -> int:
-    return int(n_in) * int(n_out)
 
 
 # The per-operation costs are tenths of a picojoule, so all sums run in
@@ -143,32 +134,27 @@ def model_energy(model: Model, record) -> EnergyReport:
     alphas = record.stage_alpha()
     t = record.timesteps
     rows = []
-    current_alpha = None      # None = analog input ahead of the first layer
+    alpha = None              # None = analog input ahead of the first layer
     source_kind = None
-    for audit in model.audit:
-        if audit.flops == 0:
+    for stage in model.audit:
+        if stage.flops == 0:
             # pooling and reshapes move spikes around without arithmetic;
             # averaging preserves the mean activity exactly
             continue
-        if current_alpha is None:
-            energy = _MAC_TENTHS * audit.flops / 10.0
-            rows.append(EnergyRow(audit.name, audit.kind, audit.flops, None,
-                                  None, 0.0, energy))
-        else:
-            sops = current_alpha * audit.flops
-            energy = _AC_TENTHS * t * sops / 10.0
-            rows.append(EnergyRow(audit.name, audit.kind, audit.flops,
-                                  current_alpha, source_kind, sops, energy))
-        if audit.spiking:
-            if audit.name not in alphas:
+        sops = 0.0 if alpha is None else alpha * stage.flops
+        rows.append(EnergyRow(stage.name, stage.kind, stage.flops, alpha,
+                              source_kind, sops,
+                              energy_snn([stage.flops], [alpha], t)))
+        if stage.spiking:
+            if stage.name not in alphas:
                 raise ContractError(
-                    f"forward record carries no activity for stage {audit.name!r}"
+                    f"forward record carries no activity for stage {stage.name!r}"
                 )
-            current_alpha = alphas[audit.name]
-            source_kind = audit.kind
-    ann = energy_ann([r.flops for r in rows])
-    snn = float(sum(r.energy_pj for r in rows))
-    return EnergyReport(rows=rows, timesteps=t, ann_pj=ann, snn_pj=snn)
+            alpha = alphas[stage.name]
+            source_kind = stage.kind
+    flops = [r.flops for r in rows]
+    return EnergyReport(rows=rows, timesteps=t, ann_pj=energy_ann(flops),
+                        snn_pj=energy_snn(flops, [r.alpha_in for r in rows], t))
 
 
 def write_energy_csv(path, report: EnergyReport):
@@ -199,17 +185,13 @@ def temporal_similarity(frames) -> np.ndarray:
         raise ContractError("temporal_similarity needs at least one step")
     n = frames[0].shape[0]
     v = np.stack([f.reshape(n, -1) for f in frames])   # (T, N, D)
-    t = v.shape[0]
-    sq = (v * v).sum(axis=2)                           # (T, N)
-    m = np.empty((t, t))
-    for i in range(t):
-        for j in range(t):
-            dots = (v[i] * v[j]).sum(axis=1)
-            denom2 = sq[i] * sq[j]
-            safe = np.sqrt(np.where(denom2 > 0, denom2, 1.0))
-            cos = np.where(denom2 > 0, dots / safe, 0.0)
-            m[i, j] = cos.mean()
-    return m
+    dots = np.einsum("ind,jnd->ijn", v, v)             # (T, T, N)
+    # squared norms taken off the diagonal of the same sums, so a vector's
+    # self-dot and its norm agree to the bit
+    sq = np.diagonal(dots).T                           # (T, N)
+    denom2 = sq[:, None, :] * sq[None, :, :]
+    safe = np.sqrt(np.where(denom2 > 0, denom2, 1.0))
+    return np.where(denom2 > 0, dots / safe, 0.0).mean(axis=2)
 
 
 def write_similarity_csv(path, matrix):

@@ -246,10 +246,6 @@ def _same_shape(a: Tensor, b: Tensor, op: str):
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def stack(tensors, axis=0) -> Tensor:
     """Stack same-shape tensors along a new axis 0 or 1."""
     tensors = list(tensors)

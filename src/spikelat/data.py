@@ -46,9 +46,6 @@ class Dataset:
     def __len__(self):
         return self.images.shape[0]
 
-    def select(self, idx) -> "Dataset":
-        return Dataset(self.images[idx], self.labels[idx], self.classes)
-
 
 # -- IDX files ---------------------------------------------------------------
 
@@ -253,16 +250,18 @@ def corrupt(images, kind, severity, seed=0, **params):
     return np.clip(out, 0.0, 1.0)
 
 
-def batches(ds: Dataset, batch_size, seed=0, shuffle=True, drop_last=False):
-    """Yield (images, labels) minibatches; order fixed by the seed."""
+def batches(ds: Dataset, batch_size, seed=0, shuffle=True):
+    """Yield (images, labels) minibatches; order fixed by the seed.
+
+    The last batch holds the remainder when ``batch_size`` does not divide
+    the dataset.
+    """
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
     n = len(ds)
     idx = np.arange(n)
     if shuffle:
         idx = np.random.default_rng(seed).permutation(n)
-    stop = n - n % batch_size if drop_last else n
-    for start in range(0, stop, batch_size):
+    for start in range(0, n, batch_size):
         sel = idx[start : start + batch_size]
-        if len(sel):
-            yield ds.images[sel], ds.labels[sel]
+        yield ds.images[sel], ds.labels[sel]

@@ -54,48 +54,26 @@ def decode_batch(spikes, potentials, tiebreak: str = "spikers"):
     u = _frames([getattr(a, "data", a) for a in potentials])
     if len(s) != len(u) or s[0].shape != u[0].shape:
         raise ContractError("spikes and potentials must align step by step")
-    n, _ = s[0].shape
-    t_steps = len(s)
-
-    out = []
-    for i in range(n):
-        decision = None
-        for t in range(t_steps):
-            fired = s[t][i] > 0
-            if not fired.any():
-                continue
-            if tiebreak == "spikers":
-                pots = np.where(fired, u[t][i], -np.inf)
-            else:
-                pots = u[t][i]
-            best = float(pots.max())
-            winners = np.flatnonzero(pots == best)
-            decision = Decision(
-                label=int(winners[0]),
-                exit_step=t + 1,
-                spiked=True,
-                tied=len(winners) > 1,
-            )
-            break
-        if decision is None:
-            pots = u[-1][i]
-            best = float(pots.max())
-            winners = np.flatnonzero(pots == best)
-            decision = Decision(
-                label=int(winners[0]),
-                exit_step=t_steps,
-                spiked=False,
-                tied=len(winners) > 1,
-            )
-        out.append(decision)
-    return out
-
-
-def decode_labels(spikes, potentials, tiebreak: str = "spikers") -> np.ndarray:
-    return np.array(
-        [d.label for d in decode_batch(spikes, potentials, tiebreak)],
-        dtype=np.int64,
-    )
+    fired = np.stack(s) > 0                       # (T, N, C)
+    u = np.stack(u)
+    t_steps, n, _ = fired.shape
+    fired_at = fired.any(axis=2)                  # (T, N)
+    any_spike = fired_at.any(axis=0)
+    # the first firing step, or the final step on fallback
+    step = np.where(any_spike, fired_at.argmax(axis=0), t_steps - 1)
+    rows = np.arange(n)
+    pots = u[step, rows]                          # (N, C)
+    if tiebreak == "spikers":
+        compete = fired[step, rows] | ~any_spike[:, None]
+        pots = np.where(compete, pots, -np.inf)
+    winners = pots == pots.max(axis=1, keepdims=True)
+    labels = winners.argmax(axis=1)
+    tied = winners.sum(axis=1) > 1
+    return [
+        Decision(label=label, exit_step=t + 1, spiked=fired_any, tied=tie)
+        for label, t, fired_any, tie in zip(labels.tolist(), step.tolist(),
+                                             any_spike.tolist(), tied.tolist())
+    ]
 
 
 def rate_decode(spikes) -> np.ndarray:
@@ -103,15 +81,6 @@ def rate_decode(spikes) -> np.ndarray:
     s = _frames([getattr(a, "data", a) for a in spikes])
     counts = np.sum(s, axis=0)
     return counts.argmax(axis=1)
-
-
-def first_spike_time(spikes) -> np.ndarray:
-    """Per-neuron first firing step (1-based), 0 where a neuron never fired."""
-    s = _frames([getattr(a, "data", a) for a in spikes])
-    raster = np.stack(s) > 0          # (T, N, C)
-    any_fired = raster.any(axis=0)
-    first = raster.argmax(axis=0) + 1
-    return np.where(any_fired, first, 0)
 
 
 def mean_exit_step(decisions) -> float:

@@ -52,15 +52,6 @@ def latency_encode(features: Tensor, timesteps: int):
     return out
 
 
-def encode_image(pixels: np.ndarray, timesteps: int) -> np.ndarray:
-    """Raw spike raster (T, ...) of pixel intensities, no learnable head."""
-    t_s = spike_time(pixels, timesteps)
-    raster = np.zeros((timesteps,) + t_s.shape)
-    for t in range(1, timesteps + 1):
-        raster[t - 1] = t_s == t
-    return raster
-
-
 class LatencyEncoder:
     """Conv + batchnorm + sigmoid feature head feeding the spike encoding."""
 

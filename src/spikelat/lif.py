@@ -85,10 +85,6 @@ class LifTrace:
     def steps(self) -> int:
         return len(self.spikes)
 
-    def spike_counts(self) -> np.ndarray:
-        """Total emitted spikes per element, summed over time (data only)."""
-        return sum(s.data for s in self.spikes)
-
 
 def lif_unroll(currents, cfg: LifConfig) -> LifTrace:
     """Run a population over a sequence of input currents from rest.

@@ -2,25 +2,31 @@
 
 A model is described by a ``ModelSpec`` (input geometry, class count,
 window length, stage list) and materialized by :func:`build_model` with a
-seeded initializer. The forward pass is layer-major: the encoder turns the
-image into T spike frames, then each stage consumes its predecessor's T
-frames and produces its own, threading membrane state across time inside
-the stage. That is equivalent to stepping the whole net through time for a
-feedforward wiring, and far simpler to assemble.
+seeded initializer. Every stage, the encoder and the readout included,
+follows one protocol (:class:`Stage`): it is built from its input shape and
+reports its own output shape, connection count and whether it spikes, so
+``Model.audit`` is simply the stage list.
 
-The output stage is itself a spiking population. Its pre-reset membrane
-potentials double as the per-step logits for the loss; its spikes drive
-first-spike decoding.
+The forward pass is layer-major: the encoder turns the image into T spike
+frames, then each stage consumes its predecessor's T frames and produces
+its own, threading membrane state across time inside the stage. That is
+equivalent to stepping the whole net through time for a feedforward wiring,
+and far simpler to assemble.
+
+The output stage is a spiking linear population like any hidden one. Its
+pre-reset membrane potentials double as the per-step logits for the loss;
+its spikes drive first-spike decoding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, avg_pool2d, batchnorm2d, conv2d, linear
+from .autodiff import (Tensor, _conv_geometry, avg_pool2d, batchnorm2d, conv2d,
+                       linear)
 from .encoder import LatencyEncoder
-from .errors import ContractError, ShapeError, SpecError
+from .errors import ShapeError, SpecError
 from .lif import LifConfig, lif_unroll
 
 
@@ -107,18 +113,6 @@ def preset_spec(name, input_shape, classes, timesteps=8, hidden=128,
 
 
 @dataclass
-class StageAudit:
-    """Static per-stage accounting used by the energy model."""
-
-    name: str
-    kind: str
-    in_shape: tuple     # per-sample, without batch
-    out_shape: tuple
-    flops: int          # multiply-accumulates per sample per presentation
-    spiking: bool       # whether the stage emits spike-valued outputs
-
-
-@dataclass
 class ForwardRecord:
     """Everything one forward pass produced that training or analysis reads.
 
@@ -129,7 +123,6 @@ class ForwardRecord:
 
     logits: list
     out_spikes: list
-    features: Tensor
     stage_spikes: dict
     batch: int
 
@@ -156,20 +149,87 @@ class ForwardRecord:
         return total / slots
 
 
+def flops_conv(h_out, w_out, c_in, c_out, kernel) -> int:
+    """Connections of one conv presentation: every output pixel, full fan-in."""
+    return int(h_out) * int(w_out) * int(c_in) * int(c_out) * int(kernel) ** 2
+
+
+def flops_fc(n_in, n_out) -> int:
+    return int(n_in) * int(n_out)
+
+
 def _kaiming(rng, shape, fan_in):
     return rng.normal(size=shape) * np.sqrt(2.0 / fan_in)
 
 
-class ConvStage:
-    def __init__(self, name, in_ch, out_ch, kernel, stride, pad, lif, rng):
+class Stage:
+    """One step of the pipeline, built from the per-sample shape it receives.
+
+    A stage reports its ``name``, ``kind``, ``in_shape`` and ``out_shape``
+    (per sample, without batch), ``flops`` (connections per sample per
+    presentation, what the energy model charges) and whether it is
+    ``spiking``, i.e. emits the spike-valued frames a forward record keeps.
+    ``unroll(frames, training)`` turns its predecessor's T frames into its
+    own and returns them with the pre-reset membrane potentials of its
+    population, or None for a stage without one.
+    """
+
+    spiking = True
+
+    def __init__(self, name, in_shape, out_shape, flops=0):
         self.name = name
-        self.k = Tensor(_kaiming(rng, (out_ch, in_ch, kernel, kernel),
-                                 in_ch * kernel * kernel))
-        self.gamma = Tensor(np.ones(out_ch))
-        self.beta = Tensor(np.zeros(out_ch))
-        self.running_mean = np.zeros(out_ch)
-        self.running_var = np.ones(out_ch)
-        self.stride, self.pad, self.lif = stride, pad, lif
+        self.in_shape = tuple(in_shape)
+        self.out_shape = tuple(out_shape)
+        self.flops = flops
+
+    def parameters(self):
+        """(local name, tensor) pairs; the model prefixes the stage name."""
+        return []
+
+    def buffers(self):
+        return []
+
+
+class EncoderStage(LatencyEncoder, Stage):
+    """The latency encoder as the first stage: images in, T spike frames out."""
+
+    kind = "conv"
+
+    def __init__(self, name, in_shape, channels, timesteps, rng):
+        c, h, w = in_shape
+        LatencyEncoder.__init__(self, c, channels, timesteps, rng=rng)
+        kernel = self.k.shape[-1]
+        ho, wo = _conv_geometry(h, w, kernel, self.stride, self.pad)
+        Stage.__init__(self, name, in_shape, (channels, ho, wo),
+                       flops_conv(ho, wo, c, channels, kernel))
+
+    def unroll(self, images, training):
+        if images.ndim != 4 or tuple(images.shape[1:]) != self.in_shape:
+            raise ShapeError(
+                f"expected images (N, {', '.join(map(str, self.in_shape))}),"
+                f" got {images.shape}"
+            )
+        frames, _ = self.encode(images, training)
+        return frames, None
+
+
+class ConvStage(Stage):
+    kind = "conv"
+
+    def __init__(self, name, in_shape, layer, lif, rng):
+        if len(in_shape) != 3:
+            raise SpecError(f"{name}: {self.kind} needs a (C,H,W) input, have {in_shape}")
+        ci, hi, wi = in_shape
+        ho, wo = _conv_geometry(hi, wi, layer.kernel, layer.stride, layer.pad)
+        super().__init__(name, in_shape, (layer.out, ho, wo),
+                         flops_conv(ho, wo, ci, layer.out, layer.kernel))
+        self.k = Tensor(_kaiming(rng, (layer.out, ci, layer.kernel, layer.kernel),
+                                 ci * layer.kernel * layer.kernel))
+        self.gamma = Tensor(np.ones(layer.out))
+        self.beta = Tensor(np.zeros(layer.out))
+        self.running_mean = np.zeros(layer.out)
+        self.running_var = np.ones(layer.out)
+        self.stride, self.pad, self.lif = layer.stride, layer.pad, lif
 
     def unroll(self, frames, training):
         currents = []
@@ -178,151 +238,121 @@ class ConvStage:
             h = batchnorm2d(h, self.gamma, self.beta, self.running_mean,
                             self.running_var, training=training)
             currents.append(h)
-        return lif_unroll(currents, self.lif).spikes
-
-    def parameters(self):
-        return [(f"{self.name}.conv.k", self.k),
-                (f"{self.name}.bn.gamma", self.gamma),
-                (f"{self.name}.bn.beta", self.beta)]
-
-    def buffers(self):
-        return [(f"{self.name}.bn.running_mean", self.running_mean),
-                (f"{self.name}.bn.running_var", self.running_var)]
-
-
-class SewStage:
-    """Residual spiking block: spikes of a conv path added to its input.
-
-    Input frames must be binary; outputs take values in {0, 1, 2}.
-    """
-
-    def __init__(self, name, channels, kernel, lif, rng):
-        self.inner = ConvStage(name, channels, channels, kernel, 1,
-                               kernel // 2, lif, rng)
-        self.name = name
-
-    def unroll(self, frames, training):
-        branch = self.inner.unroll(frames, training)
-        return [s + x for s, x in zip(branch, frames)]
-
-    def parameters(self):
-        return self.inner.parameters()
-
-    def buffers(self):
-        return self.inner.buffers()
-
-
-class PoolStage:
-    def __init__(self, name, size):
-        self.name = name
-        self.size = size
-
-    def unroll(self, frames, training):
-        return [avg_pool2d(x, self.size) for x in frames]
-
-    def parameters(self):
-        return []
-
-    def buffers(self):
-        return []
-
-
-class FlattenStage:
-    def __init__(self, name):
-        self.name = name
-
-    def unroll(self, frames, training):
-        n = frames[0].shape[0]
-        return [x.reshape(n, int(np.prod(x.shape[1:]))) for x in frames]
-
-    def parameters(self):
-        return []
-
-    def buffers(self):
-        return []
-
-
-class LinearStage:
-    def __init__(self, name, in_dim, out_dim, lif, rng):
-        self.name = name
-        self.w = Tensor(_kaiming(rng, (in_dim, out_dim), in_dim))
-        self.b = Tensor(np.zeros(out_dim))
-        self.lif = lif
-
-    def unroll(self, frames, training):
-        currents = [linear(x, self.w, self.b) for x in frames]
-        return lif_unroll(currents, self.lif).spikes
-
-    def parameters(self):
-        return [(f"{self.name}.lin.w", self.w), (f"{self.name}.lin.b", self.b)]
-
-    def buffers(self):
-        return []
-
-
-class OutputStage:
-    """Readout: linear map into a spiking population of one unit per class."""
-
-    def __init__(self, name, in_dim, classes, lif, rng):
-        self.name = name
-        self.w = Tensor(_kaiming(rng, (in_dim, classes), in_dim))
-        self.b = Tensor(np.zeros(classes))
-        self.lif = lif
-
-    def unroll(self, frames, training):
-        currents = [linear(x, self.w, self.b) for x in frames]
         trace = lif_unroll(currents, self.lif)
         return trace.spikes, trace.potentials
 
     def parameters(self):
-        return [(f"{self.name}.lin.w", self.w), (f"{self.name}.lin.b", self.b)]
+        return [("conv.k", self.k), ("bn.gamma", self.gamma),
+                ("bn.beta", self.beta)]
 
     def buffers(self):
-        return []
+        return [("bn.running_mean", self.running_mean),
+                ("bn.running_var", self.running_var)]
+
+
+class SewStage(ConvStage):
+    """Residual spiking block: spikes of a conv path added to its input.
+
+    The conv path keeps the geometry (stride 1, same padding). Input frames
+    must be binary; outputs take values in {0, 1, 2}.
+    """
+
+    kind = "sew"
+
+    def __init__(self, name, in_shape, layer, lif, rng):
+        if len(in_shape) != 3 or in_shape[0] != layer.out:
+            raise SpecError(
+                f"{name}: residual block needs matching channels, have {in_shape}"
+            )
+        super().__init__(name, in_shape,
+                         replace(layer, stride=1, pad=layer.kernel // 2), lif, rng)
+
+    def unroll(self, frames, training):
+        branch, potentials = super().unroll(frames, training)
+        return [s + x for s, x in zip(branch, frames)], potentials
+
+
+class PoolStage(Stage):
+    kind = "pool"
+    spiking = False
+
+    def __init__(self, name, in_shape, layer, lif, rng):
+        if len(in_shape) != 3:
+            raise SpecError(f"{name}: pool needs a (C,H,W) input, have {in_shape}")
+        c, h, w = in_shape
+        if h % layer.pool or w % layer.pool:
+            raise SpecError(f"{name}: {h}x{w} not divisible by pool {layer.pool}")
+        super().__init__(name, in_shape, (c, h // layer.pool, w // layer.pool))
+        self.size = layer.pool
+
+    def unroll(self, frames, training):
+        return [avg_pool2d(x, self.size) for x in frames], None
+
+
+class FlattenStage(Stage):
+    kind = "flatten"
+    spiking = False
+
+    def __init__(self, name, in_shape, layer, lif, rng):
+        super().__init__(name, in_shape, (int(np.prod(in_shape)),))
+
+    def unroll(self, frames, training):
+        return [x.reshape((x.shape[0],) + self.out_shape) for x in frames], None
+
+
+class LinearStage(Stage):
+    """Linear map into a spiking population; the readout is one of these."""
+
+    kind = "linear"
+
+    def __init__(self, name, in_shape, layer, lif, rng):
+        if len(in_shape) != 1:
+            raise SpecError(f"{name}: linear needs a flat input, have {in_shape}")
+        (n_in,) = in_shape
+        super().__init__(name, in_shape, (layer.out,), flops_fc(n_in, layer.out))
+        self.w = Tensor(_kaiming(rng, (n_in, layer.out), n_in))
+        self.b = Tensor(np.zeros(layer.out))
+        self.lif = lif
+
+    def unroll(self, frames, training):
+        trace = lif_unroll([linear(x, self.w, self.b) for x in frames], self.lif)
+        return trace.spikes, trace.potentials
+
+    def parameters(self):
+        return [("lin.w", self.w), ("lin.b", self.b)]
+
+
+_STAGES = {"conv": ConvStage, "sew": SewStage, "pool": PoolStage,
+           "flatten": FlattenStage, "linear": LinearStage}
 
 
 class Model:
-    def __init__(self, spec: ModelSpec, encoder, stages, output, audit):
+    def __init__(self, spec: ModelSpec, encoder, stages, output):
         self.spec = spec
         self.encoder = encoder
         self.stages = stages
         self.output = output
-        self.audit = audit
+        self.audit = [encoder, *stages, output]
 
     def forward(self, images: Tensor, training: bool = False) -> ForwardRecord:
-        if images.ndim != 4 or tuple(images.shape[1:]) != self.spec.input_shape:
-            raise ShapeError(
-                f"expected images (N, {', '.join(map(str, self.spec.input_shape))}),"
-                f" got {images.shape}"
-            )
-        frames, features = self.encoder.encode(images, training)
-        record_frames = {"enc": [f.data for f in frames]}
-        for stage in self.stages:
-            frames = stage.unroll(frames, training)
-            if not isinstance(stage, (PoolStage, FlattenStage)):
+        frames = images
+        record_frames = {}
+        for stage in self.audit:
+            frames, potentials = stage.unroll(frames, training)
+            if stage.spiking:
                 record_frames[stage.name] = [f.data for f in frames]
-        spikes, potentials = self.output.unroll(frames, training)
-        record_frames["out"] = [s.data for s in spikes]
         return ForwardRecord(
             logits=potentials,
-            out_spikes=spikes,
-            features=features,
+            out_spikes=frames,
             stage_spikes=record_frames,
             batch=images.shape[0],
         )
 
     def parameters(self):
-        out = [(f"enc.{n}", t) for n, t in self.encoder.parameters()]
-        for stage in self.stages:
-            out.extend(stage.parameters())
-        out.extend(self.output.parameters())
-        return out
+        return [(f"{s.name}.{n}", t) for s in self.audit for n, t in s.parameters()]
 
     def buffers(self):
-        out = [(f"enc.{n}", a) for n, a in self.encoder.buffers()]
-        for stage in self.stages:
-            out.extend(stage.buffers())
-        return out
+        return [(f"{s.name}.{n}", a) for s in self.audit for n, a in s.buffers()]
 
     def state_arrays(self):
         """Name -> array for everything a checkpoint must carry."""
@@ -359,73 +389,20 @@ class Model:
             t.zero_grad()
 
 
-def _conv_out(h, w, kernel, stride, pad):
-    return ((h + 2 * pad - kernel) // stride + 1,
-            (w + 2 * pad - kernel) // stride + 1)
-
-
 def build_model(spec: ModelSpec, seed: int = 0) -> Model:
-    """Materialize parameters for a spec with a deterministic initializer."""
+    """Materialize parameters for a spec with a deterministic initializer.
+
+    Each stage is built from its predecessor's output shape, so shapes and
+    connection counts are worked out once, by the stages themselves.
+    """
     rng = np.random.default_rng(seed)
-    c, h, w = spec.input_shape
-    encoder = LatencyEncoder(c, spec.encoder_channels, spec.timesteps, rng=rng)
-    eh, ew = _conv_out(h, w, 3, 1, 1)
-    audit = [StageAudit("enc", "conv", (c, h, w),
-                        (spec.encoder_channels, eh, ew),
-                        eh * ew * c * spec.encoder_channels * 9, True)]
-    shape = (spec.encoder_channels, eh, ew)
-
+    encoder = EncoderStage("enc", spec.input_shape, spec.encoder_channels,
+                           spec.timesteps, rng)
     stages = []
+    shape = encoder.out_shape
     for i, layer in enumerate(spec.layers):
-        name = f"s{i}"
-        if layer.kind == "conv":
-            if len(shape) != 3:
-                raise SpecError(f"{name}: conv needs a (C,H,W) input, have {shape}")
-            ci, hi, wi = shape
-            ho, wo = _conv_out(hi, wi, layer.kernel, layer.stride, layer.pad)
-            stages.append(ConvStage(name, ci, layer.out, layer.kernel,
-                                    layer.stride, layer.pad, spec.lif, rng))
-            flops = ho * wo * ci * layer.out * layer.kernel * layer.kernel
-            audit.append(StageAudit(name, "conv", shape, (layer.out, ho, wo),
-                                    flops, True))
-            shape = (layer.out, ho, wo)
-        elif layer.kind == "sew":
-            if len(shape) != 3 or shape[0] != layer.out:
-                raise SpecError(
-                    f"{name}: residual block needs matching channels, have {shape}"
-                )
-            ci, hi, wi = shape
-            stages.append(SewStage(name, ci, layer.kernel, spec.lif, rng))
-            flops = hi * wi * ci * ci * layer.kernel * layer.kernel
-            audit.append(StageAudit(name, "sew", shape, shape, flops, True))
-        elif layer.kind == "pool":
-            if len(shape) != 3:
-                raise SpecError(f"{name}: pool needs a (C,H,W) input, have {shape}")
-            ci, hi, wi = shape
-            if hi % layer.pool or wi % layer.pool:
-                raise SpecError(
-                    f"{name}: {hi}x{wi} not divisible by pool {layer.pool}"
-                )
-            stages.append(PoolStage(name, layer.pool))
-            shape = (ci, hi // layer.pool, wi // layer.pool)
-            audit.append(StageAudit(name, "pool",
-                                    (ci, hi, wi), shape, 0, False))
-        elif layer.kind == "flatten":
-            stages.append(FlattenStage(name))
-            flat = int(np.prod(shape))
-            audit.append(StageAudit(name, "flatten", shape, (flat,), 0, False))
-            shape = (flat,)
-        elif layer.kind == "linear":
-            if len(shape) != 1:
-                raise SpecError(f"{name}: linear needs a flat input, have {shape}")
-            stages.append(LinearStage(name, shape[0], layer.out, spec.lif, rng))
-            audit.append(StageAudit(name, "linear", shape, (layer.out,),
-                                    shape[0] * layer.out, True))
-            shape = (layer.out,)
-
-    if len(shape) != 1:
-        raise SpecError(f"output stage needs a flat input, have {shape}")
-    output = OutputStage("out", shape[0], spec.classes, spec.lif, rng)
-    audit.append(StageAudit("out", "linear", shape, (spec.classes,),
-                            shape[0] * spec.classes, True))
-    return Model(spec, encoder, stages, output, audit)
+        stages.append(_STAGES[layer.kind](f"s{i}", shape, layer, spec.lif, rng))
+        shape = stages[-1].out_shape
+    output = LinearStage("out", shape, LayerSpec("linear", out=spec.classes),
+                         spec.lif, rng)
+    return Model(spec, encoder, stages, output)

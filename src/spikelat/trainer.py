@@ -142,6 +142,24 @@ class EpochRow:
     fallback_rate: float
 
 
+def _train_step(model, opt, imgs, labels, cfg: TrainConfig, lr) -> float:
+    """One optimizer step; returns the loss value.
+
+    The graph of the step (forward record and loss) lives only in this
+    frame, so it is freed before the next step builds its own.
+    """
+    rec = model.forward(Tensor(imgs), training=True)
+    if cfg.loss == "tad":
+        loss = tad_loss(rec.logits, labels, tau=cfg.tau,
+                        detach_weights=cfg.detach_weights)
+    else:
+        loss = vanilla_loss(rec.logits, labels)
+    opt.zero_grad()
+    loss.backward()
+    opt.step(lr=lr)
+    return float(loss.data)
+
+
 def train(model: Model, train_ds: Dataset, eval_ds: Dataset,
           cfg: TrainConfig, log=None):
     """Optimize the model in place; returns the per-epoch metric rows."""
@@ -158,20 +176,11 @@ def train(model: Model, train_ds: Dataset, eval_ds: Dataset,
                                     seed=cfg.seed + epoch):
             lr = cosine_lr(step, total_steps, cfg.lr)
             try:
-                rec = model.forward(Tensor(imgs), training=True)
-                if cfg.loss == "tad":
-                    loss = tad_loss(rec.logits, labels, tau=cfg.tau,
-                                    detach_weights=cfg.detach_weights)
-                else:
-                    loss = vanilla_loss(rec.logits, labels)
-                opt.zero_grad()
-                loss.backward()
-                opt.step(lr=lr)
+                losses.append(_train_step(model, opt, imgs, labels, cfg, lr))
             except NumericsError as e:
                 raise TrainingAbort(
                     f"non-finite values at epoch {epoch} step {step}: {e}"
                 ) from e
-            losses.append(float(loss.data))
             step += 1
         res = evaluate(model, eval_ds, batch_size=cfg.batch_size)
         row = EpochRow(epoch, float(cosine_lr(step, total_steps, cfg.lr)),
@@ -260,7 +269,12 @@ def read_checkpoint(path):
             raise FormatError(
                 f"{path}: implausible name length {name_len}", offset=cur.pos - 4
             )
-        name = cur.take(name_len, "name").decode("utf-8")
+        name_at = cur.pos
+        try:
+            name = cur.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: array name is not UTF-8",
+                              offset=name_at) from None
         rank = cur.u32("rank")
         if rank > 8:
             raise FormatError(

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,14 @@ class TestEvalCommand:
                     + fast_args())
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_name_is_runtime_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"SPKL" + struct.pack("<III", 1, 1, 2) + b"\xff\xfe")
+        code = main(["eval", "--checkpoint", str(ckpt)] + fast_args())
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
 
 
 class TestAnalyzeCommand:

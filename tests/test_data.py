@@ -221,11 +221,9 @@ class TestBatches:
         assert a == b
         assert a != c
 
-    def test_drop_last(self):
+    def test_last_batch_keeps_remainder(self):
         ds = synth_blobs(10, classes=2, seed=0)
-        sizes = [len(l) for _, l in batches(ds, 4, drop_last=True)]
-        assert sizes == [4, 4]
-        sizes = [len(l) for _, l in batches(ds, 4, drop_last=False)]
+        sizes = [len(l) for _, l in batches(ds, 4)]
         assert sizes == [4, 4, 2]
 
     def test_unshuffled_order(self):

@@ -5,8 +5,6 @@ from spikelat.autodiff import Tensor
 from spikelat.decoder import (
     Decision,
     decode_batch,
-    decode_labels,
-    first_spike_time,
     mean_exit_step,
     rate_decode,
 )
@@ -95,9 +93,9 @@ class TestFirstSpikeRule:
         rng = np.random.default_rng(1)
         imgs = Tensor(rng.uniform(0, 1, size=(4, 1, 8, 8)))
         rec = model.forward(imgs)
-        labels = decode_labels(rec.out_spikes, rec.logits)
-        assert labels.shape == (4,)
-        assert np.all((labels >= 0) & (labels < 3))
+        labels = [d.label for d in decode_batch(rec.out_spikes, rec.logits)]
+        assert len(labels) == 4
+        assert all(0 <= label < 3 for label in labels)
 
     def test_rejects_misaligned_inputs(self):
         with pytest.raises(ContractError):
@@ -124,17 +122,11 @@ class TestRateDecode:
                   np.array([[0.0, 1.0]]),
                   np.array([[0.0, 1.0]])]
         pots = [np.array([[1.0, 0.0]])] * 3
-        assert decode_labels(spikes, pots)[0] == 0
+        assert [d.label for d in decode_batch(spikes, pots)] == [0]
         assert rate_decode(spikes)[0] == 1
 
 
 class TestTimingMetrics:
-    def test_first_spike_time_per_neuron(self):
-        spikes = [np.array([[0.0, 1.0, 0.0]]),
-                  np.array([[1.0, 0.0, 0.0]]),
-                  np.array([[1.0, 1.0, 0.0]])]
-        np.testing.assert_array_equal(first_spike_time(spikes), [[2, 1, 0]])
-
     def test_mean_exit_step(self):
         ds = [Decision(0, 2, True, False), Decision(1, 4, True, False),
               Decision(0, 3, False, False)]

@@ -46,7 +46,7 @@ class TestDynamics:
     def test_spike_count_accumulates(self):
         cfg = LifConfig()
         trace = lif_unroll([Tensor([1.0, 0.2]) for _ in range(4)], cfg)
-        np.testing.assert_allclose(trace.spike_counts(), [4.0, 0.0])
+        np.testing.assert_allclose(sum(s.data for s in trace.spikes), [4.0, 0.0])
 
     def test_rejects_bad_config(self):
         with pytest.raises(ContractError):

@@ -1,10 +1,14 @@
+import struct
+import sys
+
 import numpy as np
 import pytest
 
+from spikelat import trainer as trainer_module
 from spikelat.autodiff import Tensor
 from spikelat.data import synth_blobs
 from spikelat.errors import ContractError, FormatError, TrainingAbort
-from spikelat.network import build_model, preset_spec
+from spikelat.network import Model, build_model, preset_spec
 from spikelat.trainer import (
     AdamW,
     TrainConfig,
@@ -104,6 +108,10 @@ class TestCosineSchedule:
         np.testing.assert_allclose(cosine_lr(15, 10, 1.0), 0.0, atol=1e-15)
 
 
+# magic, version 1, one array whose two-byte name is not UTF-8
+NON_UTF8_NAME_CKPT = b"SPKL" + struct.pack("<III", 1, 1, 2) + b"\xff\xfe"
+
+
 class TestCheckpoints:
     def arrays(self):
         rng = np.random.default_rng(1)
@@ -139,13 +147,18 @@ class TestCheckpoints:
         assert e.value.offset == 0
 
     def test_bad_version_offset_four(self, tmp_path):
-        import struct
-
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"SPKL" + struct.pack("<II", 9, 0))
         with pytest.raises(FormatError) as e:
             read_checkpoint(p)
         assert e.value.offset == 4
+
+    def test_non_utf8_name_reports_its_offset(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(NON_UTF8_NAME_CKPT)
+        with pytest.raises(FormatError, match="UTF-8") as e:
+            read_checkpoint(p)
+        assert e.value.offset == 16
 
     def test_truncation_reports_position(self, tmp_path):
         p = tmp_path / "x.ckpt"
@@ -235,6 +248,27 @@ class TestTrainLoop:
         with pytest.raises(TrainingAbort, match="epoch 1"):
             train(model, tr, ev, TrainConfig(epochs=1, batch_size=32, seed=4))
 
+    def test_previous_step_graph_is_freed(self, monkeypatch):
+        model, tr, ev, _ = tiny_setup(seed=7)
+        losses, refcounts = [], []
+        real_loss, real_forward = trainer_module.tad_loss, Model.forward
+
+        def keep_loss(*args, **kwargs):
+            losses.append(real_loss(*args, **kwargs))
+            return losses[-1]
+
+        def forward(self, images, training=False):
+            if training and losses:
+                # held by the list and by getrefcount's own argument only
+                refcounts.append(sys.getrefcount(losses[-1]))
+            return real_forward(self, images, training)
+
+        monkeypatch.setattr(trainer_module, "tad_loss", keep_loss)
+        monkeypatch.setattr(Model, "forward", forward)
+        train(model, tr, ev, TrainConfig(epochs=2, batch_size=32, seed=7))
+        assert len(refcounts) == len(losses) - 1 > 0
+        assert set(refcounts) == {2}
+
     def test_class_mismatch_rejected(self):
         model, tr, ev, _ = tiny_setup(seed=5)
         bad = synth_blobs(40, classes=4, seed=9)
@@ -259,6 +293,7 @@ class TestEvaluate:
         assert len(first.decisions) == len(ev)
         with pytest.raises(ContractError):
             evaluate(model, ev, decode="argmax")
+
 
 
 class TestMetricsCsv:
