@@ -107,12 +107,14 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first",
     """Run the model over a dataset in eval mode and score the decisions."""
     if decode not in ("first", "rate"):
         raise ContractError("decode must be 'first' or 'rate'")
+    if len(ds) == 0:
+        raise ContractError("evaluate needs at least one image")
     predicted = []
     decisions = []
-    sparsities = []
+    spike_share = 0.0     # per-batch sparsity weighted by the batch's images
     for imgs, _ in batches(ds, batch_size, shuffle=False):
         rec = model.forward(Tensor(imgs), training=False)
-        sparsities.append(rec.sparsity())
+        spike_share += rec.sparsity() * rec.batch
         if decode == "first":
             ds_batch = decode_batch(rec.out_spikes, rec.logits, tiebreak)
             decisions.extend(ds_batch)
@@ -127,7 +129,7 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first",
     else:
         mean_exit = float(model.spec.timesteps)
         fallback = 0.0
-    return EvalResult(accuracy, mean_exit, float(np.mean(sparsities)),
+    return EvalResult(accuracy, mean_exit, spike_share / len(predicted),
                       fallback, predicted, decisions)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from spikelat import trainer as trainer_module
 from spikelat.autodiff import Tensor
-from spikelat.data import synth_blobs
+from spikelat.data import Dataset, synth_blobs
 from spikelat.errors import ContractError, FormatError, TrainingAbort
 from spikelat.network import Model, build_model, preset_spec
 from spikelat.trainer import (
@@ -294,6 +294,22 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(model, ev, decode="argmax")
 
+    def test_sparsity_does_not_depend_on_batch_size(self):
+        spec = preset_spec("mlp-mini", (1, 8, 8), classes=3, timesteps=4,
+                           hidden=64)
+        model = build_model(spec, seed=0)
+        ev = synth_blobs(150, classes=3, seed=1)
+        whole = evaluate(model, ev, batch_size=150).sparsity
+        for batch_size in (149, 64):
+            got = evaluate(model, ev, batch_size=batch_size).sparsity
+            assert abs(got - whole) <= 1e-12, batch_size
+
+    def test_empty_dataset_rejected(self):
+        model, _, ev, _ = tiny_setup(seed=6)
+        empty = Dataset(ev.images[:0], ev.labels[:0], ev.classes)
+        for decode in ("first", "rate"):
+            with pytest.raises(ContractError):
+                evaluate(model, empty, decode=decode)
 
 
 class TestMetricsCsv:
