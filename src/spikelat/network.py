@@ -218,7 +218,7 @@ class ConvStage(Stage):
 
     def __init__(self, name, in_shape, layer, lif, rng):
         if len(in_shape) != 3:
-            raise SpecError(f"{name}: {self.kind} needs a (C,H,W) input, have {in_shape}")
+            raise SpecError(f"{name}: conv needs a (C,H,W) input, have {in_shape}")
         ci, hi, wi = in_shape
         ho, wo = _conv_geometry(hi, wi, layer.kernel, layer.stride, layer.pad)
         super().__init__(name, in_shape, (layer.out, ho, wo),

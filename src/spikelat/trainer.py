@@ -13,6 +13,7 @@ UTF-8 name, u32 rank, u64 dims, and the row-major data.
 """
 from __future__ import annotations
 
+import ctypes
 import struct
 from dataclasses import dataclass, field
 
@@ -144,6 +145,28 @@ class EpochRow:
     fallback_rate: float
 
 
+_M_TOP_PAD = -2            # mallopt parameter number in glibc's malloc.h
+_TOP_PAD_BYTES = 256 << 20
+
+
+def _keep_freed_step_memory():
+    """Ask glibc to keep the heap memory a training step frees.
+
+    Each step frees its whole graph before the next one builds its own. By
+    default glibc hands the freed top of the heap back to the OS every time
+    and the next step faults it back in page by page, which costs vgg-mini
+    (batch 128, T=4) a fifth of its step time. A top pad keeps up to
+    256 MiB of it in the process. Other C libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
 def _train_step(model, opt, imgs, labels, cfg: TrainConfig, lr) -> float:
     """One optimizer step; returns the loss value.
 
@@ -167,6 +190,7 @@ def train(model: Model, train_ds: Dataset, eval_ds: Dataset,
     """Optimize the model in place; returns the per-epoch metric rows."""
     if train_ds.classes != model.spec.classes:
         raise ContractError("dataset classes do not match the model")
+    _keep_freed_step_memory()
     opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     steps_per_epoch = max(1, int(np.ceil(len(train_ds) / cfg.batch_size)))
     total_steps = cfg.epochs * steps_per_epoch
