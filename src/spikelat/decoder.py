@@ -63,7 +63,7 @@ def decode_batch(spikes, potentials, tiebreak: str = "spikers"):
     step = np.where(any_spike, fired_at.argmax(axis=0), t_steps - 1)
     rows = np.arange(n)
     pots = u[step, rows]                          # (N, C)
-    if tiebreak == "spikers":
+    if tiebreak == "spikers":    # on fallback every neuron competes
         compete = fired[step, rows] | ~any_spike[:, None]
         pots = np.where(compete, pots, -np.inf)
     winners = pots == pots.max(axis=1, keepdims=True)
