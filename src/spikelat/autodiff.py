@@ -4,7 +4,7 @@ A ``Tensor`` is both the value carrier and a node of a define-by-run tape:
 it remembers its parents and a closure that routes the upstream gradient to
 them. Calling :meth:`Tensor.backward` on a scalar walks the tape in reverse
 topological order and accumulates gradients into every reachable node,
-including every timestep copy of a shared weight.
+including every use of a shared weight.
 
 The graph is rebuilt on every forward pass; nothing is cached between runs.
 All arithmetic is in 64-bit floats. Producing NaN or Inf anywhere is treated
@@ -56,11 +56,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
+    def __len__(self):
+        return len(self.data)
+
     def accumulate(self, g):
-        """Add ``g`` into this node's gradient buffer."""
+        """Add ``g`` into the gradient; a first write copies it (no zero fill, no alias)."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -138,15 +143,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Tensor(-self.data, (self,), "neg")
-
-        def bw(g, a=self):
-            a.accumulate(-g)
-
-        out._backward = bw
-        return out
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "sub")
@@ -164,9 +160,6 @@ class Tensor:
 
         out._backward = bw
         return out
-
-    def __rsub__(self, other):
-        return (-self) + float(other)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -189,22 +182,16 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not a supported primitive")
-        return self * (1.0 / float(other))
-
     def __getitem__(self, idx):
-        """Integer indexing along the leading axis (timestep selection)."""
-        if not isinstance(idx, (int, np.integer)):
-            raise ContractError("only integer indexing on axis 0 is supported")
-        i = int(idx)
-        out = Tensor(self.data[i], (self,), "index0")
+        """Integer or slice indexing on axis 0; a tensor iterates its steps."""
+        if not isinstance(idx, (int, np.integer, slice)):
+            raise ContractError("only integer or slice indexing on axis 0 is supported")
+        out = Tensor(self.data[idx], (self,), "index0")
 
-        def bw(g, a=self, i=i):
+        def bw(g, a=self, idx=idx):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
+            a.grad[idx] += g
 
         out._backward = bw
         return out
@@ -271,19 +258,24 @@ def stack(tensors, axis=0) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map: out[n, o] = sum_i x[n, i] w[i, o] + b[o]."""
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ShapeError("linear expects x (N,I), w (I,O), b (O,)")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    """Affine map: out[..., o] = sum_i x[..., i] w[i, o] + b[o], with the
+    leading axes, such as a time-major (T, N), folded into one batch."""
+    if x.ndim < 2 or w.ndim != 2 or b.ndim != 1:
+        raise ShapeError("linear expects x (..., N, I), w (I, O), b (O,)")
+    if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(
             f"linear: x {x.shape}, w {w.shape}, b {b.shape} do not chain"
         )
-    out = Tensor(x.data @ w.data + b.data, (x, w, b), "linear")
+    x2 = x.data.reshape(-1, w.shape[0])
+    out_data = x2 @ w.data
+    out_data += b.data
+    out = Tensor(out_data.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), "linear")
 
-    def bw(g, x=x, w=w, b=b):
-        x.accumulate(g @ w.data.T)
-        w.accumulate(x.data.T @ g)
-        b.accumulate(g.sum(axis=0))
+    def bw(g, x=x, w=w, b=b, x2=x2):
+        g2 = g.reshape(x2.shape[0], -1)
+        x.accumulate((g2 @ w.data.T).reshape(x.shape))
+        w.accumulate(x2.T @ g2)
+        b.accumulate(g2.sum(axis=0))
 
     out._backward = bw
     return out
@@ -310,10 +302,11 @@ def _im2col(xp, K, stride, h_out, w_out):
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation of x (N,C,H,W) with kernels k (O,C,K,K)."""
-    if x.ndim != 4 or k.ndim != 4:
-        raise ShapeError("conv2d expects x (N,C,H,W) and k (O,C,K,K)")
-    N, C, H, W = x.shape
+    """2-D cross-correlation of x (N,C,H,W) with kernels k (O,C,K,K); a
+    time-major x (T,N,C,H,W) runs once on its folded (T*N,C,H,W) view."""
+    if x.ndim not in (4, 5) or k.ndim != 4:
+        raise ShapeError("conv2d expects x (N,C,H,W) or (T,N,C,H,W) and k (O,C,K,K)")
+    C, H, W = x.shape[-3:]
     c_out, c_in, K, K2 = k.shape
     if K != K2:
         raise ShapeError("conv2d kernels must be square")
@@ -321,10 +314,11 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: input has {C} channels, kernel expects {c_in}")
     h_out, w_out = _conv_geometry(H, W, K, stride, pad)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    N = x.size // (C * H * W)
+    xp = np.pad(x.data.reshape(N, C, H, W), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     cols = _im2col(xp, K, stride, h_out, w_out)  # (N, CKK, L)
     w2 = k.data.reshape(c_out, C * K * K)
-    out_data = (w2[None] @ cols).reshape(N, c_out, h_out, w_out)
+    out_data = (w2[None] @ cols).reshape(x.shape[:-3] + (c_out, h_out, w_out))
     out = Tensor(out_data, (x, k), "conv2d")
 
     def bw(g, x=x, k=k, cols=cols, geom=(N, C, H, W, K, stride, pad, h_out, w_out)):
@@ -332,9 +326,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         c_out = k.data.shape[0]
         g2 = g.reshape(N, c_out, h_out * w_out)
         w2 = k.data.reshape(c_out, C * K * K)
-        k.accumulate(
-            np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(k.data.shape)
-        )
+        k.accumulate((g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.data.shape))
         dcols = (w2.T[None] @ g2).reshape(N, C, K, K, h_out, w_out)
         dxp = np.zeros((N, C, H + 2 * pad, W + 2 * pad))
         for i in range(K):
@@ -342,7 +334,8 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                 dxp[
                     :, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride
                 ] += dcols[:, :, i, j]
-        x.accumulate(dxp[:, :, pad : pad + H, pad : pad + W] if pad else dxp)
+        dx = dxp[:, :, pad : pad + H, pad : pad + W] if pad else dxp
+        x.accumulate(dx.reshape(x.shape))
 
     out._backward = bw
     return out
@@ -362,48 +355,55 @@ def batchnorm2d(
 
     Train mode normalizes by batch statistics and folds them into the
     running buffers in place (new = (1-m)*old + m*batch, unbiased variance
-    for the running buffer). Eval mode uses the running buffers.
+    for the running buffer). Eval mode uses the running buffers. A
+    time-major x (T,N,C,H,W) is normalized step by step: each timestep has
+    its own batch statistics and updates the running buffers once, in step
+    order, exactly as T calls on the (N,C,H,W) steps would.
     """
-    if x.ndim != 4:
-        raise ShapeError("batchnorm2d expects x (N,C,H,W)")
-    N, C, H, W = x.shape
+    if x.ndim not in (4, 5):
+        raise ShapeError("batchnorm2d expects x (N,C,H,W) or (T,N,C,H,W)")
+    x5 = x.data.reshape((-1,) + x.shape[-4:])
+    _, N, C, H, W = x5.shape
     m = N * H * W
     if m < 1:
         raise ShapeError("batchnorm2d: zero-size channel")
     if eps <= 0:
         raise ContractError("batchnorm2d: eps must be positive")
-    axes = (0, 2, 3)
+    axes = (1, 3, 4)
 
+    mu = x5.mean(axis=axes) if training else running_mean[None]
+    xhat = x5 - mu[:, None, :, None, None]     # deviations (as in np.var), scaled below
+    var = np.square(xhat).mean(axis=axes) if training else running_var[None]
     if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
         unbiased = var * (m / (m - 1)) if m > 1 else var
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-    else:
-        mu = running_mean
-        var = running_var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    out = Tensor(out_data, (x, gamma, beta), "batchnorm2d")
+        for mu_t, var_t in zip(mu, unbiased):
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * mu_t
+            running_var *= 1.0 - momentum
+            running_var += momentum * var_t
+    inv_std = (1.0 / np.sqrt(var + eps))[:, None, :, None, None]
+    xhat *= inv_std
+    out_data = gamma.data[:, None, None] * xhat
+    out_data += beta.data[:, None, None]
+    out = Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d")
 
     def bw(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv_std=inv_std,
            training=training, m=m):
-        gamma.accumulate((g * xhat).sum(axis=axes))
-        beta.accumulate(g.sum(axis=axes))
-        dxhat = g * gamma.data[None, :, None, None]
+        g = g.reshape(xhat.shape)
+        tmp = g * xhat
+        gamma.accumulate(tmp.sum(axis=(0,) + axes))
+        beta.accumulate(g.sum(axis=(0,) + axes))
+        dx = g * gamma.data[:, None, None]
         if training:
-            # batch statistics depend on x, so the full Jacobian applies
-            s1 = dxhat.sum(axis=axes, keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-            dx = (dxhat - s1 / m - xhat * s2 / m) * inv_std[None, :, None, None]
-        else:
-            dx = dxhat * inv_std[None, :, None, None]
-        x.accumulate(dx)
+            # batch statistics depend on x, so the full Jacobian applies:
+            # dx = (dxhat - s1/m - xhat*s2/m) * inv_std, in place
+            s2 = np.multiply(dx, xhat, out=tmp).sum(axis=axes, keepdims=True)
+            dx -= dx.sum(axis=axes, keepdims=True) / m
+            np.multiply(xhat, s2, out=tmp)
+            tmp /= m
+            dx -= tmp
+        dx *= inv_std
+        x.accumulate(dx.reshape(x.shape))
 
     out._backward = bw
     return out
@@ -443,18 +443,27 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def avg_pool2d(x: Tensor, size: int) -> Tensor:
-    """Non-overlapping average pooling with a square window."""
-    if x.ndim != 4:
-        raise ShapeError("avg_pool2d expects x (N,C,H,W)")
-    N, C, H, W = x.shape
+    """Non-overlapping average pooling with a square window over the last two
+    axes of x (N,C,H,W) or (T,N,C,H,W), one strided slice per window offset."""
+    if x.ndim not in (4, 5):
+        raise ShapeError("avg_pool2d expects x (N,C,H,W) or (T,N,C,H,W)")
+    H, W = x.shape[-2:]
     if H % size or W % size:
         raise ShapeError(f"avg_pool2d: {H}x{W} not divisible by window {size}")
-    h2, w2 = H // size, W // size
-    out_data = x.data.reshape(N, C, h2, size, w2, size).mean(axis=(3, 5))
+    offsets = [(..., slice(i, None, size), slice(j, None, size))
+               for i in range(size) for j in range(size)]
+    out_data = x.data[offsets[0]].copy()
+    for o in offsets[1:]:
+        out_data += x.data[o]
+    out_data /= size * size
     out = Tensor(out_data, (x,), "avg_pool2d")
 
-    def bw(g, x=x, size=size):
-        x.accumulate(np.repeat(np.repeat(g, size, axis=2), size, axis=3) / (size * size))
+    def bw(g, x=x, offsets=offsets):
+        dx = np.empty_like(x.data)
+        g = g / len(offsets)
+        for o in offsets:
+            dx[o] = g
+        x.accumulate(dx)
 
     out._backward = bw
     return out

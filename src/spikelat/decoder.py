@@ -33,29 +33,28 @@ class Decision:
     tied: bool         # an exact potential tie was broken by index
 
 
-def _frames(arrs):
-    frames = [np.asarray(a, dtype=np.float64) for a in arrs]
+def _frames(seq):
+    """(T, N, C) array of a (T, N, C) tensor or array, or of (N, C) steps."""
+    frames = [np.asarray(getattr(a, "data", a), dtype=np.float64)
+              for a in getattr(seq, "data", seq)]
     if not frames:
         raise ContractError("decoding needs at least one timestep")
     if any(f.shape != frames[0].shape or f.ndim != 2 for f in frames):
         raise ContractError("per-step arrays must share one (N, C) shape")
-    return frames
+    return np.stack(frames)
 
 
 def decode_batch(spikes, potentials, tiebreak: str = "spikers"):
     """First-spike decisions for a batch.
 
-    ``spikes`` and ``potentials`` are per-step sequences of (N, C) arrays,
-    spike values counted as firing when positive.
+    ``spikes`` and ``potentials`` are (T, N, C) tensors or arrays, or step
+    sequences of (N, C) ones; spike values count as firing when positive.
     """
     if tiebreak not in TIEBREAKS:
         raise ContractError(f"tiebreak must be one of {TIEBREAKS}")
-    s = _frames([getattr(a, "data", a) for a in spikes])
-    u = _frames([getattr(a, "data", a) for a in potentials])
-    if len(s) != len(u) or s[0].shape != u[0].shape:
+    fired, u = _frames(spikes) > 0, _frames(potentials)    # (T, N, C)
+    if fired.shape != u.shape:
         raise ContractError("spikes and potentials must align step by step")
-    fired = np.stack(s) > 0                       # (T, N, C)
-    u = np.stack(u)
     t_steps, n, _ = fired.shape
     fired_at = fired.any(axis=2)                  # (T, N)
     any_spike = fired_at.any(axis=0)
@@ -78,9 +77,7 @@ def decode_batch(spikes, potentials, tiebreak: str = "spikers"):
 
 def rate_decode(spikes) -> np.ndarray:
     """Labels by total spike count; argmax resolves ties to the lowest index."""
-    s = _frames([getattr(a, "data", a) for a in spikes])
-    counts = np.sum(s, axis=0)
-    return counts.argmax(axis=1)
+    return _frames(spikes).sum(axis=0).argmax(axis=1)
 
 
 def mean_exit_step(decisions) -> float:

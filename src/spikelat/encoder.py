@@ -32,23 +32,21 @@ def spike_time(x, timesteps: int) -> np.ndarray:
     return np.clip(t, 1, timesteps)
 
 
-def latency_encode(features: Tensor, timesteps: int):
-    """Expand features (any shape) into a list of T binary spike tensors.
+def latency_encode(features: Tensor, timesteps: int) -> Tensor:
+    """Expand features (any shape) into a time-major (T, ...) binary raster.
 
     Forward places a single 1 per element at its spike step. Backward is
     straight-through: every step hands its upstream gradient back to the
     features unchanged, so a feature's gradient is the sum over its window.
     """
     t_s = spike_time(features.data, timesteps)
-    out = []
-    for t in range(1, timesteps + 1):
-        s = Tensor((t_s == t).astype(np.float64), (features,), "latency_encode")
+    steps = np.arange(1, timesteps + 1).reshape((-1,) + (1,) * t_s.ndim)
+    out = Tensor((t_s == steps).astype(np.float64), (features,), "latency_encode")
 
-        def bw(g, f=features):
-            f.accumulate(g)
+    def bw(g, f=features):
+        f.accumulate(g.sum(axis=0))
 
-        s._backward = bw
-        out.append(s)
+    out._backward = bw
     return out
 
 
@@ -78,7 +76,7 @@ class LatencyEncoder:
         return sigmoid(h)
 
     def encode(self, images: Tensor, training: bool):
-        """Returns (list of T spike tensors, the analog features)."""
+        """Returns (the (T, N, C, H, W) spike raster, the analog features)."""
         f = self.features(images, training)
         return latency_encode(f, self.timesteps), f
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, stack
 from .errors import ContractError
 
 
@@ -38,6 +38,12 @@ class LifConfig:
             )
 
 
+def _window(u, cfg: LifConfig) -> np.ndarray:
+    """Surrogate spike derivative: 1/width on |u - v_th| <= width/2, else 0."""
+    inside = np.abs(u - cfg.v_th) <= 0.5 * cfg.surrogate_width
+    return inside * (1.0 / cfg.surrogate_width)
+
+
 def spike(u: Tensor, cfg: LifConfig) -> Tensor:
     """Heaviside threshold crossing; fires when u >= v_th.
 
@@ -47,38 +53,20 @@ def spike(u: Tensor, cfg: LifConfig) -> Tensor:
     s = (u.data >= cfg.v_th).astype(np.float64)
     out = Tensor(s, (u,), "spike")
 
-    def bw(g, u=u, v_th=cfg.v_th, width=cfg.surrogate_width):
-        x = u.data - v_th
-        window = (np.abs(x) <= 0.5 * width).astype(np.float64) / width
-        u.accumulate(g * window)
+    def bw(g, u=u, cfg=cfg):
+        u.accumulate(g * _window(u.data, cfg))
 
     out._backward = bw
     return out
 
 
-def lif_step(u_prev: Tensor, current: Tensor, cfg: LifConfig):
-    """One membrane update: leak, integrate, fire, soft-reset.
-
-    Returns (spikes, u_pre, u_next) where u_pre is the potential before the
-    reset is applied. u_pre is what decoding ties break on.
-    """
-    u_pre = u_prev * cfg.tau_leak + current
-    s = spike(u_pre, cfg)
-    reset = s.detach() if cfg.detach_reset else s
-    u_next = u_pre - reset * cfg.v_th
-    return s, u_pre, u_next
-
-
 @dataclass
 class LifTrace:
-    """Per-step record of one LIF population over an unrolled run.
+    """One population's run: (T, ...) ``spikes`` and pre-reset ``potentials``
+    tensors, and ``final``, the post-reset potential after the last step."""
 
-    ``spikes[t]`` and ``potentials[t]`` (pre-reset) share the input's shape;
-    ``final`` is the post-reset potential after the last step.
-    """
-
-    spikes: list
-    potentials: list
+    spikes: Tensor
+    potentials: Tensor
     final: Tensor
 
     @property
@@ -87,19 +75,59 @@ class LifTrace:
 
 
 def lif_unroll(currents, cfg: LifConfig) -> LifTrace:
-    """Run a population over a sequence of input currents from rest.
-
-    ``currents`` is a list of same-shape tensors, one per timestep. The
-    membrane starts at zero. State is threaded through the tape, so
-    gradients flow across timesteps.
+    """Run a population from rest over (T, ...) currents (a list of step
+    tensors is stacked first): u_pre = tau*u + I, s = [u_pre >= v_th],
+    u = u_pre - s*v_th. The recurrence is one tape node whose backward is
+    the explicit adjoint, swept in place from the last step: du_pre = dU +
+    du + (dS - v_th*du) * window(u_pre), then du = tau*du_pre (no v_th term
+    with ``detach_reset``); du starts as the gradient of ``final``.
     """
-    currents = list(currents)
-    if not currents:
+    currents = currents if isinstance(currents, Tensor) else stack(currents)
+    drive, tau, v_th = currents.data, cfg.tau_leak, cfg.v_th
+    if drive.ndim == 0 or len(drive) == 0:
         raise ContractError("lif_unroll needs at least one timestep")
-    u = Tensor(np.zeros_like(currents[0].data))
-    spikes, potentials = [], []
-    for c in currents:
-        s, u_pre, u = lif_step(u, c, cfg)
-        spikes.append(s)
-        potentials.append(u_pre)
-    return LifTrace(spikes=spikes, potentials=potentials, final=u)
+    pots = np.empty_like(drive)
+    spikes = np.empty_like(drive)
+    u = np.zeros_like(drive[0])
+    for t in range(len(drive)):
+        np.multiply(u, tau, out=pots[t])
+        pots[t] += drive[t]
+        np.greater_equal(pots[t], v_th, out=spikes[t])
+        np.multiply(spikes[t], v_th, out=u)
+        np.subtract(pots[t], u, out=u)
+
+    s = Tensor(spikes, (currents,), "lif_unroll")
+    potentials = Tensor(pots, (s,), "lif_potentials")
+    final = Tensor(u, (s,), "lif_final")
+    # no reference from s to its children: the graph stays free of cycles
+    upstream = {}
+
+    def hand_over(name):
+        def bw(g, s=s):
+            upstream[name] = g
+            if s.grad is None:      # the sweep runs from the spike node
+                s.grad = np.zeros_like(s.data)
+        return bw
+
+    potentials._backward = hand_over("potentials")
+    final._backward = hand_over("final")
+
+    def bw(d_spikes, currents=currents, pots=pots):
+        # du_pre = (dS*window + dU) + du*keep, keep = 1 - v_th*window or 1
+        keep = _window(pots, cfg)
+        d_drive = np.multiply(d_spikes, keep)
+        if "potentials" in upstream:
+            d_drive += upstream["potentials"]
+        if not cfg.detach_reset:
+            keep *= -v_th
+            keep += 1.0
+        d_u = upstream["final"].copy() if "final" in upstream else np.zeros_like(keep[0])
+        for t in reversed(range(len(d_drive))):
+            if not cfg.detach_reset:
+                d_u *= keep[t]
+            d_drive[t] += d_u
+            np.multiply(d_drive[t], tau, out=d_u)
+        currents.accumulate(d_drive)
+
+    s._backward = bw
+    return LifTrace(spikes=s, potentials=potentials, final=final)

@@ -1,4 +1,4 @@
-"""Training objectives over per-timestep output logits.
+"""Training objectives over the time-major block of output logits.
 
 The main objective weights each timestep's cross entropy by how confident
 the network already is at that step. Confidence is one minus the normalized
@@ -31,8 +31,23 @@ def _check_labels(labels, n, c):
 
 
 def _log_softmax(o):
-    z = o - o.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Log-softmax over the last axis."""
+    z = o - o.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _certainty(logp):
+    """(p, entropy H, 1 - H/log C) over the last axis of log-probabilities."""
+    if logp.shape[-1] < 2:
+        raise ContractError("confidence needs at least two classes")
+    p = np.exp(logp)
+    ent = -(p * logp).sum(axis=-1)
+    return p, ent, 1.0 - ent / np.log(logp.shape[-1])
+
+
+def _d_certainty(p, logp, ent):
+    """d(1 - H/logC)/do_j = p_j (logp_j + H) / logC."""
+    return p * (logp + ent[..., None]) / np.log(p.shape[-1])
 
 
 def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
@@ -61,19 +76,12 @@ def confidence(logits: Tensor) -> Tensor:
     """
     if logits.ndim != 2:
         raise ShapeError("confidence expects (N, C) logits")
-    n, c = logits.shape
-    if c < 2:
-        raise ContractError("confidence needs at least two classes")
     logp = _log_softmax(logits.data)
-    p = np.exp(logp)
-    ent = -(p * logp).sum(axis=1)
-    log_c = np.log(c)
-    out = Tensor(1.0 - ent / log_c, (logits,), "confidence")
+    p, ent, lam = _certainty(logp)
+    out = Tensor(lam, (logits,), "confidence")
 
-    def bw(g, logits=logits, p=p, logp=logp, ent=ent, log_c=log_c):
-        # d(1 - H/logC)/do_j = p_j (logp_j + H) / logC
-        d = p * (logp + ent[:, None]) / log_c
-        logits.accumulate(g[:, None] * d)
+    def bw(g, logits=logits, p=p, logp=logp, ent=ent):
+        logits.accumulate(g[:, None] * _d_certainty(p, logp, ent))
 
     out._backward = bw
     return out
@@ -86,32 +94,47 @@ def temporal_weights(lam: Tensor, tau: float = 2.0) -> Tensor:
     return softmax_rows(lam * (1.0 / tau))
 
 
+def _time_major(step_logits) -> Tensor:
+    """The (T, N, C) logits block; a list of (N, C) step tensors is stacked."""
+    o = step_logits if isinstance(step_logits, Tensor) else stack(step_logits)
+    if o.ndim != 3 or len(o) == 0:
+        raise ShapeError(f"expected (T, N, C) logits with T >= 1, got {o.shape}")
+    return o
+
+
 def tad_loss(step_logits, labels, tau: float = 2.0,
              detach_weights: bool = True) -> Tensor:
-    """Confidence-weighted cross entropy over an unrolled run.
-
-    ``step_logits`` is a list of (N, C) tensors, one per timestep. Each
-    sample's per-step cross entropies are mixed by its own temporal weights
-    and the result is averaged over the batch.
+    """Confidence-weighted cross entropy over the (T, N, C) logits block
+    (or a list of (N, C) step tensors): each sample's per-step cross
+    entropies are mixed by its temporal weights w = softmax_t(lambda/tau),
+    then averaged over the batch. One tape node; its gradient at step t is
+    w_t (p_t - y)/N, plus w_t (ce_t - L)/tau * dlambda_t/do_t / N with the
+    weights attached, L being the sample's loss.
     """
-    step_logits = list(step_logits)
-    if not step_logits:
-        raise ContractError("tad_loss needs at least one timestep")
-    lam = stack([confidence(o) for o in step_logits], axis=1)
-    w = temporal_weights(lam, tau)
-    if detach_weights:
-        w = w.detach()
-    ces = stack([cross_entropy_rows(o, labels) for o in step_logits], axis=1)
-    return (w * ces).sum(axis=1).mean()
+    o = _time_major(step_logits)
+    _, n, c = o.shape
+    labels = _check_labels(labels, n, c)
+    logp = _log_softmax(o.data)                              # (T, N, C)
+    p, ent, lam = _certainty(logp)                           # lam (T, N)
+    w = temporal_weights(Tensor(np.ascontiguousarray(lam.T)), tau).data   # (N, T)
+    rows = np.arange(n)
+    ce = np.ascontiguousarray(-logp[:, rows, labels].T)      # (N, T)
+    per_sample = (w * ce).sum(axis=1)
+    out = Tensor(per_sample.sum() * (1.0 / n), (o,), "tad_loss")
+
+    def bw(g, o=o):
+        d = p.copy()
+        d[:, rows, labels] -= 1.0
+        if not detach_weights:
+            spread = ((ce - per_sample[:, None]) / tau).T[..., None]
+            d += spread * _d_certainty(p, logp, ent)
+        o.accumulate((g * (1.0 / n) * w).T[..., None] * d)
+
+    out._backward = bw
+    return out
 
 
 def vanilla_loss(step_logits, labels) -> Tensor:
     """Cross entropy of the time-averaged logits, batch-averaged."""
-    step_logits = list(step_logits)
-    if not step_logits:
-        raise ContractError("vanilla_loss needs at least one timestep")
-    scale = 1.0 / len(step_logits)
-    avg = step_logits[0] * scale
-    for o in step_logits[1:]:
-        avg = avg + o * scale
-    return cross_entropy_rows(avg, labels).mean()
+    o = _time_major(step_logits)
+    return cross_entropy_rows(o.mean(axis=0), labels).mean()

@@ -7,11 +7,12 @@ follows one protocol (:class:`Stage`): it is built from its input shape and
 reports its own output shape, connection count and whether it spikes, so
 ``Model.audit`` is simply the stage list.
 
-The forward pass is layer-major: the encoder turns the image into T spike
-frames, then each stage consumes its predecessor's T frames and produces
-its own, threading membrane state across time inside the stage. That is
-equivalent to stepping the whole net through time for a feedforward wiring,
-and far simpler to assemble.
+The forward pass is layer-major and time-major: the encoder turns the
+image into one (T, N, ...) spike raster and each stage maps its
+predecessor's raster to its own, which for a feedforward wiring equals
+stepping the whole net through time. Convolutions, linear maps and pooling
+run once on the folded (T*N, ...) batch; only the membrane recurrence
+steps through time, inside one fused LIF node per population.
 
 The output stage is a spiking linear population like any hidden one. Its
 pre-reset membrane potentials double as the per-step logits for the loss;
@@ -116,13 +117,14 @@ def preset_spec(name, input_shape, classes, timesteps=8, hidden=128,
 class ForwardRecord:
     """Everything one forward pass produced that training or analysis reads.
 
-    ``logits[t]`` are the output population's pre-reset potentials, shape
-    (N, classes). ``stage_spikes`` maps stage name to that stage's emitted
-    values per step (plain arrays, detached from the tape).
+    ``logits`` and ``out_spikes`` are the output population's (T, N, classes)
+    pre-reset potentials and spikes; indexing gives per-step views.
+    ``stage_spikes`` maps stage name to its emitted (T, N, ...) values, a
+    plain array detached from the tape.
     """
 
-    logits: list
-    out_spikes: list
+    logits: Tensor
+    out_spikes: Tensor
     stage_spikes: dict
     batch: int
 
@@ -132,21 +134,14 @@ class ForwardRecord:
 
     def stage_alpha(self):
         """Mean emitted value per slot per step, keyed by stage name."""
-        out = {}
-        for name, frames in self.stage_spikes.items():
-            total = float(sum(f.sum() for f in frames))
-            slots = len(frames) * frames[0].size
-            out[name] = total / slots
-        return out
+        return {name: float(frames.sum()) / frames.size
+                for name, frames in self.stage_spikes.items()}
 
     def sparsity(self):
         """Fraction of slot-steps carrying a spike, over all spiking stages."""
-        total = 0.0
-        slots = 0
-        for frames in self.stage_spikes.values():
-            total += float(sum(np.count_nonzero(f) for f in frames))
-            slots += len(frames) * frames[0].size
-        return total / slots
+        frames = self.stage_spikes.values()
+        return (sum(np.count_nonzero(f) for f in frames)
+                / sum(f.size for f in frames))
 
 
 def flops_conv(h_out, w_out, c_in, c_out, kernel) -> int:
@@ -169,9 +164,9 @@ class Stage:
     (per sample, without batch), ``flops`` (connections per sample per
     presentation, what the energy model charges) and whether it is
     ``spiking``, i.e. emits the spike-valued frames a forward record keeps.
-    ``unroll(frames, training)`` turns its predecessor's T frames into its
-    own and returns them with the pre-reset membrane potentials of its
-    population, or None for a stage without one.
+    ``unroll(frames, training)`` maps its predecessor's (T, N, ...) tensor
+    to its own and returns it with its population's (T, N, ...) pre-reset
+    potentials, or None for a stage without one.
     """
 
     spiking = True
@@ -191,7 +186,7 @@ class Stage:
 
 
 class EncoderStage(LatencyEncoder, Stage):
-    """The latency encoder as the first stage: images in, T spike frames out."""
+    """The latency encoder as the first stage: images in, a (T, N, ...) raster out."""
 
     kind = "conv"
 
@@ -232,13 +227,10 @@ class ConvStage(Stage):
         self.stride, self.pad, self.lif = layer.stride, layer.pad, lif
 
     def unroll(self, frames, training):
-        currents = []
-        for x in frames:
-            h = conv2d(x, self.k, stride=self.stride, pad=self.pad)
-            h = batchnorm2d(h, self.gamma, self.beta, self.running_mean,
-                            self.running_var, training=training)
-            currents.append(h)
-        trace = lif_unroll(currents, self.lif)
+        h = conv2d(frames, self.k, stride=self.stride, pad=self.pad)
+        h = batchnorm2d(h, self.gamma, self.beta, self.running_mean,
+                        self.running_var, training=training)
+        trace = lif_unroll(h, self.lif)
         return trace.spikes, trace.potentials
 
     def parameters(self):
@@ -269,7 +261,7 @@ class SewStage(ConvStage):
 
     def unroll(self, frames, training):
         branch, potentials = super().unroll(frames, training)
-        return [s + x for s, x in zip(branch, frames)], potentials
+        return branch + frames, potentials
 
 
 class PoolStage(Stage):
@@ -286,7 +278,7 @@ class PoolStage(Stage):
         self.size = layer.pool
 
     def unroll(self, frames, training):
-        return [avg_pool2d(x, self.size) for x in frames], None
+        return avg_pool2d(frames, self.size), None
 
 
 class FlattenStage(Stage):
@@ -297,7 +289,7 @@ class FlattenStage(Stage):
         super().__init__(name, in_shape, (int(np.prod(in_shape)),))
 
     def unroll(self, frames, training):
-        return [x.reshape((x.shape[0],) + self.out_shape) for x in frames], None
+        return frames.reshape(frames.shape[:2] + self.out_shape), None
 
 
 class LinearStage(Stage):
@@ -315,7 +307,7 @@ class LinearStage(Stage):
         self.lif = lif
 
     def unroll(self, frames, training):
-        trace = lif_unroll([linear(x, self.w, self.b) for x in frames], self.lif)
+        trace = lif_unroll(linear(frames, self.w, self.b), self.lif)
         return trace.spikes, trace.potentials
 
     def parameters(self):
@@ -340,7 +332,7 @@ class Model:
         for stage in self.audit:
             frames, potentials = stage.unroll(frames, training)
             if stage.spiking:
-                record_frames[stage.name] = [f.data for f in frames]
+                record_frames[stage.name] = frames.data
         return ForwardRecord(
             logits=potentials,
             out_spikes=frames,
@@ -362,24 +354,17 @@ class Model:
 
     def load_state(self, arrays):
         state = dict(arrays)
-        for n, t in self.parameters():
+        targets = [("parameter", n, t.data) for n, t in self.parameters()]
+        targets += [("buffer", n, a) for n, a in self.buffers()]
+        for what, n, dst in targets:
             if n not in state:
-                raise SpecError(f"checkpoint missing parameter {n!r}")
+                raise SpecError(f"checkpoint missing {what} {n!r}")
             a = np.asarray(state.pop(n), dtype=np.float64)
-            if a.shape != t.data.shape:
+            if a.shape != dst.shape:
                 raise SpecError(
-                    f"parameter {n!r} has shape {a.shape}, model needs {t.data.shape}"
+                    f"{what} {n!r} has shape {a.shape}, model needs {dst.shape}"
                 )
-            t.data[...] = a
-        for n, buf in self.buffers():
-            if n not in state:
-                raise SpecError(f"checkpoint missing buffer {n!r}")
-            a = np.asarray(state.pop(n), dtype=np.float64)
-            if a.shape != buf.shape:
-                raise SpecError(
-                    f"buffer {n!r} has shape {a.shape}, model needs {buf.shape}"
-                )
-            buf[...] = a
+            dst[...] = a
         if state:
             extra = ", ".join(sorted(state))
             raise SpecError(f"checkpoint carries unknown arrays: {extra}")

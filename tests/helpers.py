@@ -2,6 +2,7 @@
 import numpy as np
 
 from spikelat.autodiff import Tensor
+from spikelat.lif import spike
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -39,6 +40,24 @@ def check_grad(build, x0, rtol=1e-5, h=1e-6):
     e = rel_err(t.grad, num)
     assert e < rtol, f"gradient mismatch: rel err {e:.3e} >= {rtol}"
     return e
+
+
+def tape_lif_unroll(currents, cfg):
+    """Per-step tape reference for ``lif_unroll``: leak, add, spike, reset
+    and sub nodes at every step, from a list of per-step tensors.
+
+    Returns (spikes list, pre-reset potentials list, final potential).
+    """
+    u = Tensor(np.zeros_like(currents[0].data))
+    spikes, potentials = [], []
+    for c in currents:
+        u_pre = u * cfg.tau_leak + c
+        s = spike(u_pre, cfg)
+        reset = s.detach() if cfg.detach_reset else s
+        u = u_pre - reset * cfg.v_th
+        spikes.append(s)
+        potentials.append(u_pre)
+    return spikes, potentials, u
 
 
 def manual_bptt(currents, loss_on_spikes, loss_on_final, cfg):

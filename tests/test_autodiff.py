@@ -376,3 +376,101 @@ class TestErrorHandling:
             y = y * 1.0001
         y.sum().backward()
         assert x.grad is not None
+
+
+class TestAccumulate:
+    def test_two_accumulations_sum(self):
+        t = Tensor(np.zeros(3))
+        t.accumulate(np.array([1.0, 2.0, 3.0]))
+        t.accumulate(np.array([0.5, -2.0, 0.25]))
+        np.testing.assert_array_equal(t.grad, [1.5, 0.0, 3.25])
+
+    def test_stored_gradient_never_aliases_upstream(self):
+        t = Tensor(np.zeros(3))
+        g = np.array([1.0, 2.0, 3.0])
+        t.accumulate(g)
+        assert not np.shares_memory(t.grad, g)
+        t.accumulate(g)
+        np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(t.grad, [2.0, 4.0, 6.0])
+        # add hands its own upstream array to both parents
+        a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
+        s = a + b
+        s.sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, s.grad)
+
+    def test_broadcast_upstream_fills_a_full_buffer(self):
+        x = Tensor(np.ones((2, 3)))
+        x.sum().backward()
+        assert x.grad.shape == (2, 3) and x.grad.flags.writeable
+        x.grad += 1.0
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+class TestTimeMajor:
+    """Time-major (T, N, ...) inputs against the same op on each step."""
+
+    def test_len_and_slice_index_route_gradients(self):
+        x = Tensor(np.arange(24, dtype=np.float64).reshape(4, 3, 2))
+        assert len(x) == 4
+        assert [s.shape for s in x] == [(3, 2)] * 4
+        (x[1:3].sum() + x[3].sum()).backward()
+        np.testing.assert_array_equal(x.grad[0], 0.0)
+        np.testing.assert_array_equal(x.grad[1:], 1.0)
+        with pytest.raises(ContractError):
+            x[[0, 1]]
+
+    @pytest.mark.parametrize("op", ["conv2d", "avg_pool2d", "linear"])
+    def test_folded_op_matches_per_step(self, op):
+        rng = np.random.default_rng(12)
+        if op == "linear":
+            x = rng.normal(size=(3, 4, 5))
+            w, b = Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2))
+            params = [w, b]
+
+            def run(t):
+                return linear(t, w, b)
+        else:
+            x = (rng.random(size=(3, 4, 2, 6, 6)) < 0.3).astype(float)
+            k = Tensor(rng.normal(size=(3, 2, 3, 3)))
+            params = [k] if op == "conv2d" else []
+
+            def run(t):
+                return conv2d(t, k, stride=1, pad=1) if op == "conv2d" else avg_pool2d(t, 2)
+        proj = rng.normal(size=run(Tensor(x[0])).shape)
+        block = Tensor(x)
+        out = run(block)
+        (out * Tensor(np.broadcast_to(proj, out.shape).copy())).sum().backward()
+        block_grads = [p.grad.copy() for p in params]
+        for p in params:
+            p.zero_grad()
+        steps = [Tensor(xt) for xt in x]
+        outs = [run(s) for s in steps]
+        sum((o * Tensor(proj)).sum() for o in outs).backward()
+        assert np.array_equal(out.data, np.stack([o.data for o in outs]))
+        assert rel_err(block.grad, np.stack([s.grad for s in steps])) < 1e-12
+        for got, p in zip(block_grads, params):
+            assert rel_err(got, p.grad) < 1e-12
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_steps_match_per_step_calls(self, training):
+        rng = np.random.default_rng(13)
+        x = rng.normal(loc=0.5, scale=2.0, size=(3, 4, 2, 3, 3))
+        gamma, beta = Tensor(rng.uniform(0.5, 1.5, 2)), Tensor(rng.normal(size=2))
+        proj = rng.normal(size=x.shape)
+        rm0, rv0 = rng.normal(size=2), rng.uniform(0.5, 2.0, 2)
+
+        rm, rv = rm0.copy(), rv0.copy()
+        block = Tensor(x)
+        out = batchnorm2d(block, gamma, beta, rm, rv, training=training)
+        (out * Tensor(proj)).sum().backward()
+
+        rm_ref, rv_ref = rm0.copy(), rv0.copy()
+        steps = [Tensor(xt) for xt in x]
+        outs = [batchnorm2d(s, gamma, beta, rm_ref, rv_ref, training=training)
+                for s in steps]
+        assert np.array_equal(out.data, np.stack([o.data for o in outs]))
+        assert np.array_equal(rm, rm_ref) and np.array_equal(rv, rv_ref)
+        sum((o * Tensor(p)).sum() for o, p in zip(outs, proj)).backward()
+        assert np.array_equal(block.grad, np.stack([s.grad for s in steps]))

@@ -3,9 +3,9 @@ import pytest
 
 from spikelat.autodiff import Tensor
 from spikelat.errors import ContractError
-from spikelat.lif import LifConfig, lif_step, lif_unroll, spike
+from spikelat.lif import LifConfig, lif_unroll, spike
 
-from helpers import manual_bptt, rel_err
+from helpers import manual_bptt, rel_err, tape_lif_unroll
 
 
 class TestDynamics:
@@ -21,15 +21,15 @@ class TestDynamics:
 
     def test_fires_exactly_at_threshold(self):
         cfg = LifConfig()
-        s, u_pre, u_next = lif_step(Tensor([0.0]), Tensor([1.0]), cfg)
-        assert s.data[0] == 1.0
-        assert u_next.data[0] == 0.0
+        trace = lif_unroll([Tensor([1.0])], cfg)
+        assert trace.spikes.data[0, 0] == 1.0
+        assert trace.final.data[0] == 0.0
 
     def test_soft_reset_subtracts_threshold_only_from_spikers(self):
         cfg = LifConfig(v_th=1.0)
-        s, u_pre, u_next = lif_step(Tensor([0.0, 0.0]), Tensor([1.3, 0.7]), cfg)
-        np.testing.assert_allclose(s.data, [1.0, 0.0])
-        np.testing.assert_allclose(u_next.data, [0.3, 0.7], rtol=1e-12)
+        trace = lif_unroll([Tensor([1.3, 0.7])], cfg)
+        np.testing.assert_allclose(trace.spikes.data[0], [1.0, 0.0])
+        np.testing.assert_allclose(trace.final.data, [0.3, 0.7], rtol=1e-12)
 
     def test_spikes_are_binary(self):
         rng = np.random.default_rng(0)
@@ -57,6 +57,8 @@ class TestDynamics:
             LifConfig(surrogate_width=-1.0)
         with pytest.raises(ContractError):
             lif_unroll([], LifConfig())
+        with pytest.raises(ContractError):
+            lif_unroll(Tensor(np.zeros((0, 3))), LifConfig())
 
 
 class TestSurrogateGradient:
@@ -151,3 +153,65 @@ class TestBackpropThroughTime:
             _, _, dI_ref = manual_bptt(list(cur[:, n]), [1.0] * T, 1.0, cfg)
             got = [float(batch[t].grad[n]) for t in range(T)]
             assert rel_err(got, dI_ref) < 1e-10
+
+
+class TestFusedNodeMatchesPerStepTape:
+    """The fused node against a tape built step by step from spike()."""
+
+    @pytest.mark.parametrize("detach", [False, True])
+    @pytest.mark.parametrize("outputs", ["spikes", "potentials", "final", "all"])
+    def test_values_bitwise_and_gradients(self, detach, outputs):
+        cfg = LifConfig(detach_reset=detach)
+        rng = np.random.default_rng(4 + detach)
+        cur = rng.normal(loc=0.6, scale=0.6, size=(5, 3, 2, 4, 4))
+        proj = {k: rng.normal(size=cur.shape) for k in ("spikes", "potentials")}
+        proj["final"] = rng.normal(size=cur.shape[1:])
+        used = ("spikes", "potentials", "final") if outputs == "all" else (outputs,)
+
+        block = Tensor(cur)
+        trace = lif_unroll(block, cfg)
+        got = {"spikes": trace.spikes, "potentials": trace.potentials,
+               "final": trace.final}
+        loss = sum((got[k] * Tensor(proj[k])).sum() for k in used)
+        loss.backward()
+
+        steps = [Tensor(c) for c in cur]
+        spikes, pots, final = tape_lif_unroll(steps, cfg)
+        ref = {"spikes": spikes, "potentials": pots, "final": [final]}
+        loss = 0.0
+        for k in used:
+            w = proj[k] if k != "final" else [proj[k]]
+            for x, wx in zip(ref[k], w):
+                loss = (x * Tensor(wx)).sum() + loss
+        loss.backward()
+
+        assert np.array_equal(trace.spikes.data, np.stack([s.data for s in spikes]))
+        assert np.array_equal(trace.potentials.data, np.stack([u.data for u in pots]))
+        assert np.array_equal(trace.final.data, final.data)
+        want = np.stack([s.grad for s in steps])
+        assert np.any(want != 0.0)
+        assert rel_err(block.grad, want) < 1e-12
+
+    def test_list_input_is_stacked(self):
+        rng = np.random.default_rng(6)
+        cur = rng.normal(loc=0.6, size=(4, 5))
+        a = lif_unroll([Tensor(c) for c in cur], LifConfig())
+        b = lif_unroll(Tensor(cur), LifConfig())
+        assert np.array_equal(a.spikes.data, b.spikes.data)
+        assert len(a.spikes) == a.steps == 4
+
+    def test_graph_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            cur = Tensor(np.random.default_rng(7).normal(loc=0.8, size=(3, 4)))
+            trace = lif_unroll(cur, LifConfig())
+            (trace.potentials.sum() + trace.final.sum()).backward()
+            arrays = [weakref.ref(t.data) for t in
+                      (trace.spikes, trace.potentials, trace.final)]
+            del trace
+            assert all(r() is None for r in arrays)
+        finally:
+            gc.enable()

@@ -225,3 +225,28 @@ class TestVanillaLoss:
         o1 = rng.normal(size=(3, 4))
         y = rng.integers(0, 4, size=3)
         check_grad(lambda t: vanilla_loss([t, Tensor(o1)], y), o0)
+
+
+class TestTimeMajorBlock:
+    @pytest.mark.parametrize("detach", [True, False])
+    def test_block_matches_step_list_and_is_one_node(self, detach):
+        rng = np.random.default_rng(13)
+        o = rng.normal(size=(5, 4, 3)) * 2
+        y = rng.integers(0, 3, size=4)
+        block = Tensor(o)
+        loss = tad_loss(block, y, detach_weights=detach)
+        assert loss.parents == (block,)
+        loss.backward()
+        steps = [Tensor(v) for v in o]
+        ref = tad_loss(steps, y, detach_weights=detach)
+        ref.backward()
+        assert loss.data == ref.data
+        assert np.array_equal(block.grad, np.stack([s.grad for s in steps]))
+
+    def test_rejects_a_block_without_time_axis_or_steps(self):
+        with pytest.raises(ShapeError):
+            tad_loss(Tensor(np.zeros((4, 3))), np.array([0, 1, 2, 0]))
+        with pytest.raises(ShapeError):
+            vanilla_loss(Tensor(np.zeros((4, 3))), np.array([0, 1, 2, 0]))
+        with pytest.raises(ShapeError):
+            tad_loss(Tensor(np.zeros((0, 4, 3))), np.array([0, 1, 2, 0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikelat.autodiff import Tensor
+from spikelat.autodiff import Tensor, batchnorm2d, conv2d
 from spikelat.errors import ShapeError, SpecError
 from spikelat.lif import LifConfig
 from spikelat.loss import tad_loss
@@ -180,6 +180,26 @@ class TestForward:
         before = model.stages[0].running_mean.copy()
         model.forward(small_images(3, (1, 16, 16), seed=9), training=False)
         np.testing.assert_array_equal(model.stages[0].running_mean, before)
+
+    def test_running_stats_update_once_per_timestep(self):
+        """A T=3 conv stage leaves the buffers T step-order batchnorm calls leave."""
+        spec = preset_spec("vgg-mini", (1, 16, 16), classes=4, timesteps=3)
+        model = build_model(spec, seed=7)
+        stage = model.stages[0]
+        rng = np.random.default_rng(8)
+        for name, buf in model.buffers():
+            buf[...] = rng.uniform(0.5, 1.5, size=buf.shape)
+        mean0, var0 = stage.running_mean.copy(), stage.running_var.copy()
+        frames = (rng.random(size=(3, 5) + stage.in_shape) < 0.3).astype(float)
+        stage.unroll(Tensor(frames), training=True)
+
+        mean, var = mean0.copy(), var0.copy()
+        for x in frames:
+            h = conv2d(Tensor(x), stage.k, stride=stage.stride, pad=stage.pad)
+            batchnorm2d(h, stage.gamma, stage.beta, mean, var, training=True)
+        assert np.array_equal(stage.running_mean, mean)
+        assert np.array_equal(stage.running_var, var)
+        assert not np.array_equal(mean, mean0)
 
     def test_forward_is_deterministic(self):
         spec = preset_spec("sew-mini", (1, 16, 16), classes=4)

@@ -1,3 +1,4 @@
+import gc
 import struct
 import sys
 
@@ -268,6 +269,24 @@ class TestTrainLoop:
         train(model, tr, ev, TrainConfig(epochs=2, batch_size=32, seed=7))
         assert len(refcounts) == len(losses) - 1 > 0
         assert set(refcounts) == {2}
+
+    @pytest.mark.parametrize("preset", ["mlp-mini", "sew-mini"])
+    def test_step_graph_holds_no_reference_cycle(self, preset):
+        # a cycle would keep every step's arrays until the cycle collector runs
+        shape = (1, 8, 8) if preset == "mlp-mini" else (1, 16, 16)
+        spec = preset_spec(preset, shape, classes=3, timesteps=4, hidden=16)
+        model = build_model(spec, seed=3)
+        opt = trainer_module.AdamW(model.parameters(), lr=0.01)
+        imgs = np.random.default_rng(3).uniform(size=(6,) + shape)
+        gc.collect()
+        gc.disable()
+        try:
+            for loss in ("tad", "vanilla"):
+                trainer_module._train_step(model, opt, imgs, np.arange(6) % 3,
+                                           TrainConfig(loss=loss), 0.01)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_class_mismatch_rejected(self):
         model, tr, ev, _ = tiny_setup(seed=5)
