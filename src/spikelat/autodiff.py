@@ -29,7 +29,7 @@ class Tensor:
     share to that parent's ``grad``.
     """
 
-    __slots__ = ("id", "data", "grad", "parents", "op", "_backward")
+    __slots__ = ("id", "data", "grad", "parents", "op", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), op="leaf", backward=None):
         self.id = next(_ids)
@@ -233,22 +233,20 @@ def _same_shape(a: Tensor, b: Tensor, op: str):
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
-def stack(tensors, axis=0) -> Tensor:
-    """Stack same-shape tensors along a new axis 0 or 1."""
+def stack(tensors) -> Tensor:
+    """Stack same-shape tensors along a new axis 0."""
     tensors = list(tensors)
     if not tensors:
         raise ContractError("stack of an empty sequence")
-    if axis not in (0, 1):
-        raise ContractError("stack supports axis 0 or 1 only")
     shape = tensors[0].data.shape
     for t in tensors[1:]:
         if t.data.shape != shape:
             raise ShapeError("stack: member shapes differ")
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), "stack")
+    out = Tensor(np.stack([t.data for t in tensors]), tuple(tensors), "stack")
 
-    def bw(g, members=tuple(tensors), axis=axis):
+    def bw(g, members=tuple(tensors)):
         for i, m in enumerate(members):
-            m.accumulate(g[i] if axis == 0 else g[:, i])
+            m.accumulate(g[i])
 
     out._backward = bw
     return out
@@ -289,21 +287,35 @@ def _conv_geometry(H, W, K, stride, pad):
     return h_out, w_out
 
 
-def _im2col(xp, K, stride, h_out, w_out):
-    """(N, C, Hp, Wp) -> (N, C*K*K, h_out*w_out) patch matrix."""
-    N, C = xp.shape[:2]
-    cols = np.empty((N, C, K, K, h_out, w_out))
-    for i in range(K):
-        for j in range(K):
-            cols[:, :, i, j] = xp[
-                :, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride
-            ]
-    return cols.reshape(N, C * K * K, h_out * w_out)
+_CHUNK_BYTES = 1 << 20   # patch matrix of one chunk of the folded batch: cache-sized
+
+
+def _patches(xc, flat, cols, pad, offsets):
+    """Shift-GEMM patch matrix (n, K*K*C, h_out*Wp) of a chunk xc (n,C,H,W).
+
+    ``flat`` holds the zero-padded images with spare zero rows below, so
+    that kernel offset (i, j) is one strided slice of each flattened image:
+    it starts at i*Wp + j, steps by the stride and is h_out*Wp long. Rows
+    are ordered (offset, channel); grid columns >= w_out wrap into the next
+    image row and are scratch.
+    """
+    n, _, H, W = xc.shape
+    flat, cols = flat[:n], cols[:n]
+    flat[:, :, pad : pad + H, pad : pad + W] = xc
+    flat = flat.reshape(n, flat.shape[1], -1)
+    for kk, o in enumerate(offsets):
+        cols[:, kk] = flat[:, :, o]
+    return cols.reshape(n, -1, cols.shape[-1])
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation of x (N,C,H,W) with kernels k (O,C,K,K); a
-    time-major x (T,N,C,H,W) runs once on its folded (T*N,C,H,W) view."""
+    time-major x (T,N,C,H,W) runs once on its folded (T*N,C,H,W) view.
+
+    Forward and backward walk the batch in chunks whose patch matrices are
+    about ``_CHUNK_BYTES``, so each stays in cache; backward rebuilds a
+    chunk's patches instead of keeping them on the tape.
+    """
     if x.ndim not in (4, 5) or k.ndim != 4:
         raise ShapeError("conv2d expects x (N,C,H,W) or (T,N,C,H,W) and k (O,C,K,K)")
     C, H, W = x.shape[-3:]
@@ -315,26 +327,41 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     h_out, w_out = _conv_geometry(H, W, K, stride, pad)
 
     N = x.size // (C * H * W)
-    xp = np.pad(x.data.reshape(N, C, H, W), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, K, stride, h_out, w_out)  # (N, CKK, L)
-    w2 = k.data.reshape(c_out, C * K * K)
-    out_data = (w2[None] @ cols).reshape(x.shape[:-3] + (c_out, h_out, w_out))
-    out = Tensor(out_data, (x, k), "conv2d")
+    xs = x.data.reshape(N, C, H, W)
+    Wp = W + 2 * pad
+    L = h_out * Wp
+    offsets = [slice(s, s + stride * (L - 1) + 1, stride)
+               for s in (i * Wp + j for i in range(K) for j in range(K))]
+    rows = max(H + 2 * pad, -(-offsets[-1].stop // Wp))
+    step = max(1, min(N, _CHUNK_BYTES // (C * K * K * L * 8)))
+    chunks = [slice(a, a + step) for a in range(0, N, step)]
+    flat, cols = np.zeros((step, C, rows, Wp)), np.empty((step, K * K, C, L))
+    w2 = k.data.transpose(0, 2, 3, 1).reshape(c_out, K * K * C)
+    out_data = np.empty((N, c_out, h_out, w_out))
+    for c in chunks:
+        grid = w2 @ _patches(xs[c], flat, cols, pad, offsets)
+        out_data[c] = grid.reshape(-1, c_out, h_out, Wp)[..., :w_out]
+    out = Tensor(out_data.reshape(x.shape[:-3] + (c_out, h_out, w_out)), (x, k), "conv2d")
 
-    def bw(g, x=x, k=k, cols=cols, geom=(N, C, H, W, K, stride, pad, h_out, w_out)):
-        N, C, H, W, K, stride, pad, h_out, w_out = geom
-        c_out = k.data.shape[0]
-        g2 = g.reshape(N, c_out, h_out * w_out)
-        w2 = k.data.reshape(c_out, C * K * K)
-        k.accumulate((g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.data.shape))
-        dcols = (w2.T[None] @ g2).reshape(N, C, K, K, h_out, w_out)
-        dxp = np.zeros((N, C, H + 2 * pad, W + 2 * pad))
-        for i in range(K):
-            for j in range(K):
-                dxp[
-                    :, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride
-                ] += dcols[:, :, i, j]
-        dx = dxp[:, :, pad : pad + H, pad : pad + W] if pad else dxp
+    def bw(g, x=x, k=k, xs=xs, w2=w2):
+        g = g.reshape(N, c_out, h_out, w_out)
+        dw, dx = np.zeros_like(w2), np.empty_like(xs)
+        flat, cols = np.zeros((step, C, rows, Wp)), np.empty((step, K * K, C, L))
+        grid = np.zeros((step, c_out, h_out, Wp))     # scratch columns stay 0
+        dflat = np.empty((step, C, rows * Wp))
+        for c in chunks:
+            p = _patches(xs[c], flat, cols, pad, offsets)
+            n = len(p)
+            grid[:n, ..., :w_out] = g[c]
+            g2 = grid[:n].reshape(n, c_out, L)
+            dw += (g2 @ p.transpose(0, 2, 1)).sum(axis=0)
+            dp = (w2.T @ g2).reshape(n, K * K, C, L)
+            d = dflat[:n]
+            d.fill(0.0)
+            for kk, o in enumerate(offsets):
+                d[:, :, o] += dp[:, kk]
+            dx[c] = d.reshape(n, C, rows, Wp)[:, :, pad : pad + H, pad : pad + W]
+        k.accumulate(dw.reshape(c_out, K, K, C).transpose(0, 3, 1, 2))
         x.accumulate(dx.reshape(x.shape))
 
     out._backward = bw
@@ -369,11 +396,10 @@ def batchnorm2d(
         raise ShapeError("batchnorm2d: zero-size channel")
     if eps <= 0:
         raise ContractError("batchnorm2d: eps must be positive")
-    axes = (1, 3, 4)
 
-    mu = x5.mean(axis=axes) if training else running_mean[None]
-    xhat = x5 - mu[:, None, :, None, None]     # deviations (as in np.var), scaled below
-    var = np.square(xhat).mean(axis=axes) if training else running_var[None]
+    mu = x5.mean(axis=(1, 3, 4)) if training else running_mean[None]
+    d = x5 - mu[:, None, :, None, None]     # deviations; backward reuses them
+    var = np.einsum("tnchw,tnchw->tc", d, d) / m if training else running_var[None]
     if training:
         unbiased = var * (m / (m - 1)) if m > 1 else var
         for mu_t, var_t in zip(mu, unbiased):
@@ -381,28 +407,25 @@ def batchnorm2d(
             running_mean += momentum * mu_t
             running_var *= 1.0 - momentum
             running_var += momentum * var_t
-    inv_std = (1.0 / np.sqrt(var + eps))[:, None, :, None, None]
-    xhat *= inv_std
-    out_data = gamma.data[:, None, None] * xhat
+    inv_std = 1.0 / np.sqrt(var + eps)      # (T, C), or (1, C) in eval mode
+    out_data = d * (gamma.data * inv_std)[:, None, :, None, None]
     out_data += beta.data[:, None, None]
     out = Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d")
 
-    def bw(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv_std=inv_std,
+    def bw(g, x=x, gamma=gamma, beta=beta, d=d, inv_std=inv_std,
            training=training, m=m):
-        g = g.reshape(xhat.shape)
-        tmp = g * xhat
-        gamma.accumulate(tmp.sum(axis=(0,) + axes))
-        beta.accumulate(g.sum(axis=(0,) + axes))
-        dx = g * gamma.data[:, None, None]
+        g = g.reshape(d.shape)
+        sum_g = np.einsum("tnchw->tc", g)
+        sum_gd = np.einsum("tnchw,tnchw->tc", g, d)
+        gamma.accumulate((sum_gd * inv_std).sum(axis=0))
+        beta.accumulate(sum_g.sum(axis=0))
+        scale = gamma.data * inv_std
+        dx = g * scale[:, None, :, None, None]
         if training:
             # batch statistics depend on x, so the full Jacobian applies:
-            # dx = (dxhat - s1/m - xhat*s2/m) * inv_std, in place
-            s2 = np.multiply(dx, xhat, out=tmp).sum(axis=axes, keepdims=True)
-            dx -= dx.sum(axis=axes, keepdims=True) / m
-            np.multiply(xhat, s2, out=tmp)
-            tmp /= m
-            dx -= tmp
-        dx *= inv_std
+            # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std
+            dx -= d * (scale * inv_std**2 * sum_gd / m)[:, None, :, None, None]
+            dx -= (scale * sum_g / m)[:, None, :, None, None]
         x.accumulate(dx.reshape(x.shape))
 
     out._backward = bw

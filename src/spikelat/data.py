@@ -71,6 +71,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     with open(images_path, "rb") as f:
         buf = f.read()
     (n, h, w), header = _read_header(buf, str(images_path), _IMAGES_MAGIC, 3)
+    if h * w > 2**24:   # else an empty stack could declare an impossible array
+        raise FormatError(f"{images_path}: implausible image size {h}x{w}", offset=8)
     need = n * h * w
     if len(buf) - header != need:
         raise FormatError(

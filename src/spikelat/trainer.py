@@ -14,6 +14,7 @@ UTF-8 name, u32 rank, u64 dims, and the row-major data.
 from __future__ import annotations
 
 import ctypes
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -122,6 +123,7 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first",
             predicted.extend(d.label for d in ds_batch)
         else:
             predicted.extend(rate_decode(rec.out_spikes).tolist())
+        del rec     # free this batch's graph before the next forward
     predicted = np.array(predicted, dtype=np.int64)
     accuracy = float((predicted == ds.labels).mean())
     if decode == "first":
@@ -307,11 +309,12 @@ def read_checkpoint(path):
                 f"{path}: implausible rank {rank} for {name!r}", offset=cur.pos - 4
             )
         dims = struct.unpack(f"<{rank}Q", cur.take(8 * rank, "dims")) if rank else ()
-        numel = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        if numel > 10**9:
+        # Python ints: a product of u64 dims must not wrap, and a zero dim
+        # must not hide others too large for an array
+        if math.prod(max(d, 1) for d in dims) > 10**9:
             raise FormatError(f"{path}: implausible size for {name!r}",
                               offset=cur.pos)
-        raw = cur.take(4 * numel, f"data of {name!r}")
+        raw = cur.take(4 * math.prod(dims), f"data of {name!r}")
         arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     if cur.pos != len(buf):
         raise FormatError(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spikelat import autodiff
 from spikelat.autodiff import (
     Tensor,
     avg_pool2d,
@@ -231,19 +232,10 @@ class TestGradients:
     def test_stack_routes_grads_to_members(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0, 4.0])
-        s = stack([a, b], axis=0)
+        s = stack([a, b])
         (s * Tensor([[1.0, 2.0], [3.0, 4.0]])).sum().backward()
         np.testing.assert_allclose(a.grad, [1.0, 2.0])
         np.testing.assert_allclose(b.grad, [3.0, 4.0])
-
-    def test_stack_axis1_grads(self):
-        a = Tensor([1.0, 2.0, 3.0])
-        b = Tensor([4.0, 5.0, 6.0])
-        s = stack([a, b], axis=1)
-        assert s.shape == (3, 2)
-        (s * Tensor([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0, 2.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0, 2.0])
 
     def test_detach_blocks_gradient(self):
         x = Tensor([2.0])
@@ -474,3 +466,62 @@ class TestTimeMajor:
         assert np.array_equal(rm, rm_ref) and np.array_equal(rv, rv_ref)
         sum((o * Tensor(p)).sum() for o, p in zip(outs, proj)).backward()
         assert np.array_equal(block.grad, np.stack([s.grad for s in steps]))
+
+
+def direct_conv(x, k, stride, pad):
+    """Per-offset reference: each kernel offset's strided window of the
+    padded input, contracted with that offset's (O, C) weights."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    K = k.shape[-1]
+    ho = (xp.shape[2] - K) // stride + 1
+    wo = (xp.shape[3] - K) // stride + 1
+    out = np.zeros((x.shape[0], k.shape[0], ho, wo))
+    for i in range(K):
+        for j in range(K):
+            win = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            out += np.einsum("nchw,oc->nohw", win, k[:, :, i, j])
+    return out
+
+
+class TestChunkedConv:
+    """conv2d on a batch of 5 split into chunks of 2, 2 and 1 images."""
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        sizes, real = [], autodiff._patches
+
+        def patches(xc, *args):
+            sizes.append(len(xc))
+            return real(xc, *args)
+
+        monkeypatch.setattr(autodiff, "_patches", patches)
+        return sizes
+
+    def make_case(self, monkeypatch, C, stride, pad):
+        rng = np.random.default_rng(40 + 4 * C + 2 * stride + pad)
+        H, W, K = 7, 6, 3
+        h_out = (H + 2 * pad - K) // stride + 1
+        # room for two images' patch matrices (K*K*C rows, h_out*Wp columns)
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES",
+                            2 * 8 * K * K * C * h_out * (W + 2 * pad))
+        return rng.normal(size=(5, C, H, W)), rng.normal(size=(2, C, K, K)), rng
+
+    @pytest.mark.parametrize("C", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_forward_matches_direct_conv(self, monkeypatch, chunk_sizes, C, stride, pad):
+        x, k, _ = self.make_case(monkeypatch, C, stride, pad)
+        out = conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad)
+        assert chunk_sizes == [2, 2, 1]
+        assert rel_err(out.data, direct_conv(x, k, stride, pad)) < 1e-12
+
+    @pytest.mark.parametrize("C", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_grads_vs_numeric(self, monkeypatch, chunk_sizes, C, stride, pad):
+        x0, k0, rng = self.make_case(monkeypatch, C, stride, pad)
+        c = Tensor(rng.normal(size=direct_conv(x0, k0, stride, pad).shape))
+        check_grad(lambda t: (conv2d(t, Tensor(k0), stride=stride, pad=pad) * c).sum(), x0)
+        check_grad(lambda t: (conv2d(Tensor(x0), t, stride=stride, pad=pad) * c).sum(), k0)
+        # each backward rebuilds the patches chunk by chunk
+        assert chunk_sizes[:6] == [2, 2, 1, 2, 2, 1]

@@ -83,6 +83,15 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "UTF-8" in err
 
+    def test_checkpoint_with_overflowing_dims_is_runtime_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"SPKL" + struct.pack("<IIIsI", 1, 1, 1, b"w", 2)
+                         + struct.pack("<2Q", 2**32, 2**32))
+        code = main(["eval", "--checkpoint", str(ckpt)] + fast_args())
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "implausible size" in err
+
 
 class TestAnalyzeCommand:
     def test_writes_reports(self, tmp_path, capsys):

@@ -75,6 +75,16 @@ class TestIdxFiles:
         with pytest.raises(FormatError, match="3 labels for 2 images"):
             load_idx(ip, lp)
 
+    def test_empty_stack_of_impossible_images_rejected(self, tmp_path):
+        # zero images of 2**31 x 2**31 pixels: no data, but no such array
+        ip = tmp_path / "i.idx"
+        ip.write_bytes(struct.pack(">IIII", 0x803, 0, 2**31, 2**31))
+        lp = tmp_path / "l.idx"
+        lp.write_bytes(struct.pack(">II", 0x801, 0))
+        with pytest.raises(FormatError, match="implausible image size") as e:
+            load_idx(ip, lp)
+        assert e.value.offset == 8
+
     def test_truncated_header(self, tmp_path):
         ip = tmp_path / "i.idx"
         ip.write_bytes(struct.pack(">I", 0x803) + b"\x00\x00")

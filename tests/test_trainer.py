@@ -1,6 +1,7 @@
 import gc
 import struct
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +112,9 @@ class TestCosineSchedule:
 
 # magic, version 1, one array whose two-byte name is not UTF-8
 NON_UTF8_NAME_CKPT = b"SPKL" + struct.pack("<III", 1, 1, 2) + b"\xff\xfe"
+# magic, version 1, one rank-2 array "w" of 2**32 x 2**32 elements, no data
+HUGE_DIMS_CKPT = (b"SPKL" + struct.pack("<IIIsI", 1, 1, 1, b"w", 2)
+                  + struct.pack("<2Q", 2**32, 2**32))
 
 
 class TestCheckpoints:
@@ -170,6 +174,21 @@ class TestCheckpoints:
             read_checkpoint(p)
         assert "truncated" in str(e.value)
         assert e.value.offset is not None
+
+    def test_element_count_does_not_wrap(self, tmp_path):
+        # dims (2**32, 2**32) wrap to 0 elements in int64 arithmetic
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(HUGE_DIMS_CKPT)
+        with pytest.raises(FormatError, match="implausible size") as e:
+            read_checkpoint(p)
+        assert e.value.offset == len(HUGE_DIMS_CKPT)
+
+    def test_zero_dim_cannot_hide_huge_dims(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(b"SPKL" + struct.pack("<IIIsI", 1, 1, 1, b"w", 3)
+                      + struct.pack("<3Q", 0, 2**40, 2**40))
+        with pytest.raises(FormatError, match="implausible size"):
+            read_checkpoint(p)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         p = tmp_path / "x.ckpt"
@@ -322,6 +341,23 @@ class TestEvaluate:
         for batch_size in (149, 64):
             got = evaluate(model, ev, batch_size=batch_size).sparsity
             assert abs(got - whole) <= 1e-12, batch_size
+
+    @pytest.mark.parametrize("decode", ["first", "rate"])
+    def test_previous_batch_graph_is_freed(self, monkeypatch, decode):
+        model, _, ev, _ = tiny_setup(seed=6)
+        logits, alive = [], []
+        real_forward = Model.forward
+
+        def forward(self, images, training=False):
+            alive.extend(ref() is not None for ref in logits[-1:])
+            rec = real_forward(self, images, training)
+            logits.append(weakref.ref(rec.logits))
+            return rec
+
+        monkeypatch.setattr(Model, "forward", forward)
+        evaluate(model, ev, batch_size=16, decode=decode)
+        assert len(alive) == len(logits) - 1 > 0
+        assert not any(alive)
 
     def test_empty_dataset_rejected(self):
         model, _, ev, _ = tiny_setup(seed=6)
