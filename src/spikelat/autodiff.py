@@ -143,24 +143,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            _same_shape(self, other, "sub")
-            out = Tensor(self.data - other.data, (self, other), "sub")
-
-            def bw(g, a=self, b=other):
-                a.accumulate(g)
-                b.accumulate(-g)
-
-        else:
-            out = Tensor(self.data - float(other), (self,), "sub")
-
-            def bw(g, a=self):
-                a.accumulate(g)
-
-        out._backward = bw
-        return out
-
     def __mul__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "mul")
@@ -368,6 +350,10 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return out
 
 
+_BN_MOMENTUM = 0.1   # weight of one step's batch statistics in the running buffers
+_BN_EPS = 1e-5
+
+
 def batchnorm2d(
     x: Tensor,
     gamma: Tensor,
@@ -375,27 +361,23 @@ def batchnorm2d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
     Train mode normalizes by batch statistics and folds them into the
-    running buffers in place (new = (1-m)*old + m*batch, unbiased variance
-    for the running buffer). Eval mode uses the running buffers. A
-    time-major x (T,N,C,H,W) is normalized step by step: each timestep has
-    its own batch statistics and updates the running buffers once, in step
-    order, exactly as T calls on the (N,C,H,W) steps would.
+    running buffers in place (new = (1-m)*old + m*batch, m = _BN_MOMENTUM,
+    unbiased variance for the running buffer). Eval mode uses the running
+    buffers. A time-major x (T,N,C,H,W) is normalized step by step: each
+    timestep has its own batch statistics and updates the running buffers
+    once, in step order, exactly as T calls on the (N,C,H,W) steps would.
     """
     if x.ndim not in (4, 5):
         raise ShapeError("batchnorm2d expects x (N,C,H,W) or (T,N,C,H,W)")
+    if x.size == 0:
+        raise ShapeError(f"batchnorm2d: empty input {x.shape}")
     x5 = x.data.reshape((-1,) + x.shape[-4:])
     _, N, C, H, W = x5.shape
     m = N * H * W
-    if m < 1:
-        raise ShapeError("batchnorm2d: zero-size channel")
-    if eps <= 0:
-        raise ContractError("batchnorm2d: eps must be positive")
 
     mu = x5.mean(axis=(1, 3, 4)) if training else running_mean[None]
     d = x5 - mu[:, None, :, None, None]     # deviations; backward reuses them
@@ -403,11 +385,11 @@ def batchnorm2d(
     if training:
         unbiased = var * (m / (m - 1)) if m > 1 else var
         for mu_t, var_t in zip(mu, unbiased):
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu_t
-            running_var *= 1.0 - momentum
-            running_var += momentum * var_t
-    inv_std = 1.0 / np.sqrt(var + eps)      # (T, C), or (1, C) in eval mode
+            running_mean *= 1.0 - _BN_MOMENTUM
+            running_mean += _BN_MOMENTUM * mu_t
+            running_var *= 1.0 - _BN_MOMENTUM
+            running_var += _BN_MOMENTUM * var_t
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)      # (T, C), or (1, C) in eval mode
     out_data = d * (gamma.data * inv_std)[:, None, :, None, None]
     out_data += beta.data[:, None, None]
     out = Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d")

@@ -64,29 +64,25 @@ def _synth(cfg: Config, count, seed):
     )
 
 
+def _idx_split(cfg: Config, split):
+    images, labels = f"data.{split}_images", f"data.{split}_labels"
+    for key in (images, labels):
+        if not cfg[key]:
+            raise ContractError(f"{key} is required when data.source=idx")
+    return load_idx(cfg[images], cfg[labels])
+
+
 def _train_datasets(cfg: Config):
     if cfg["data.source"] == "idx":
-        for key in ("data.train_images", "data.train_labels",
-                    "data.eval_images", "data.eval_labels"):
-            if not cfg[key]:
-                raise ContractError(f"{key} is required when data.source=idx")
-        return (
-            load_idx(cfg["data.train_images"], cfg["data.train_labels"]),
-            load_idx(cfg["data.eval_images"], cfg["data.eval_labels"]),
-        )
-    seed = cfg["data.seed"]
-    return (
-        _synth(cfg, cfg["data.train_count"], seed),
-        _synth(cfg, cfg["data.eval_count"], seed + 1000),
-    )
+        train = _idx_split(cfg, "train")
+    else:
+        train = _synth(cfg, cfg["data.train_count"], cfg["data.seed"])
+    return train, _eval_dataset(cfg)
 
 
 def _eval_dataset(cfg: Config):
     if cfg["data.source"] == "idx":
-        for key in ("data.eval_images", "data.eval_labels"):
-            if not cfg[key]:
-                raise ContractError(f"{key} is required when data.source=idx")
-        return load_idx(cfg["data.eval_images"], cfg["data.eval_labels"])
+        return _idx_split(cfg, "eval")
     return _synth(cfg, cfg["data.eval_count"], cfg["data.seed"] + 1000)
 
 
@@ -160,6 +156,8 @@ def cmd_eval(args, cfg: Config) -> int:
 
 
 def cmd_analyze(args, cfg: Config) -> int:
+    if cfg["analyze.batch"] < 1:
+        raise ContractError(f"analyze.batch must be >= 1, got {cfg['analyze.batch']}")
     ds = _eval_dataset(cfg)
     spec = _model_spec(cfg, ds)
     model = load_checkpoint(args.checkpoint, spec, seed=cfg["model.seed"])

@@ -8,15 +8,15 @@ The encoding step itself is not differentiable, so its backward pass is a
 straight-through estimator: the gradient of a feature is the sum of the
 upstream gradients over all timesteps of its spike train.
 
-``LatencyEncoder`` wraps the learnable feature head used in front of the
-encoding: a convolution, batch normalization, and a sigmoid that squashes
-activations into (0, 1).
+The learnable feature head in front of the encoding (convolution, batch
+normalization and a sigmoid that squashes activations into (0, 1)) is the
+model's first stage, ``network.EncoderStage``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, batchnorm2d, conv2d, sigmoid
+from .autodiff import Tensor
 from .errors import ContractError
 
 # keeps ceil() away from 0 and T*1.0 exactly at the boundaries
@@ -50,40 +50,8 @@ def latency_encode(features: Tensor, timesteps: int) -> Tensor:
     return out
 
 
-class LatencyEncoder:
-    """Conv + batchnorm + sigmoid feature head feeding the spike encoding."""
-
-    def __init__(self, in_channels, channels, timesteps, kernel=3, stride=1,
-                 pad=1, rng=None):
-        if timesteps < 1:
-            raise ContractError(f"timesteps must be >= 1, got {timesteps}")
-        rng = rng if rng is not None else np.random.default_rng()
-        fan_in = in_channels * kernel * kernel
-        self.k = Tensor(rng.normal(size=(channels, in_channels, kernel, kernel))
-                        * np.sqrt(2.0 / fan_in))
-        self.gamma = Tensor(np.ones(channels))
-        self.beta = Tensor(np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.stride = stride
-        self.pad = pad
-        self.timesteps = timesteps
-
-    def features(self, images: Tensor, training: bool) -> Tensor:
-        h = conv2d(images, self.k, stride=self.stride, pad=self.pad)
-        h = batchnorm2d(h, self.gamma, self.beta, self.running_mean,
-                        self.running_var, training=training)
-        return sigmoid(h)
-
-    def encode(self, images: Tensor, training: bool):
-        """Returns (the (T, N, C, H, W) spike raster, the analog features)."""
-        f = self.features(images, training)
-        return latency_encode(f, self.timesteps), f
-
-    def parameters(self):
-        return [("conv.k", self.k), ("bn.gamma", self.gamma),
-                ("bn.beta", self.beta)]
-
-    def buffers(self):
-        return [("bn.running_mean", self.running_mean),
-                ("bn.running_var", self.running_var)]
+def __getattr__(name):
+    if name != "LatencyEncoder":   # old name, kept for the perfbench span tracer
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .network import EncoderStage
+    return EncoderStage

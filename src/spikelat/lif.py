@@ -44,22 +44,6 @@ def _window(u, cfg: LifConfig) -> np.ndarray:
     return inside * (1.0 / cfg.surrogate_width)
 
 
-def spike(u: Tensor, cfg: LifConfig) -> Tensor:
-    """Heaviside threshold crossing; fires when u >= v_th.
-
-    Backward substitutes a boxcar of height 1/width on
-    |u - v_th| <= width/2, boundary included.
-    """
-    s = (u.data >= cfg.v_th).astype(np.float64)
-    out = Tensor(s, (u,), "spike")
-
-    def bw(g, u=u, cfg=cfg):
-        u.accumulate(g * _window(u.data, cfg))
-
-    out._backward = bw
-    return out
-
-
 @dataclass
 class LifTrace:
     """One population's run: (T, ...) ``spikes`` and pre-reset ``potentials``

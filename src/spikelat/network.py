@@ -14,9 +14,10 @@ stepping the whole net through time. Convolutions, linear maps and pooling
 run once on the folded (T*N, ...) batch; only the membrane recurrence
 steps through time, inside one fused LIF node per population.
 
-The output stage is a spiking linear population like any hidden one. Its
-pre-reset membrane potentials double as the per-step logits for the loss;
-its spikes drive first-spike decoding.
+The encoder is a conv stage whose drive feeds a sigmoid and the latency
+code instead of a LIF population. The output stage is a spiking linear
+population like any hidden one. Its pre-reset membrane potentials double
+as the per-step logits for the loss; its spikes drive first-spike decoding.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import (Tensor, _conv_geometry, avg_pool2d, batchnorm2d, conv2d,
-                       linear)
-from .encoder import LatencyEncoder
+                       linear, sigmoid)
+from .encoder import latency_encode
 from .errors import ShapeError, SpecError
 from .lif import LifConfig, lif_unroll
 
@@ -83,20 +84,13 @@ def preset_spec(name, input_shape, classes, timesteps=8, hidden=128,
             LayerSpec("flatten"),
             LayerSpec("linear", out=hidden),
         )
-    elif name == "vgg-mini":
+    elif name in ("vgg-mini", "sew-mini"):
+        sew = (LayerSpec("sew", out=2 * width),) if name == "sew-mini" else ()
         layers = (
             LayerSpec("conv", out=width),
             LayerSpec("pool", pool=2),
             LayerSpec("conv", out=2 * width),
-            LayerSpec("pool", pool=2),
-            LayerSpec("flatten"),
-        )
-    elif name == "sew-mini":
-        layers = (
-            LayerSpec("conv", out=width),
-            LayerSpec("pool", pool=2),
-            LayerSpec("conv", out=2 * width),
-            LayerSpec("sew", out=2 * width),
+            *sew,
             LayerSpec("pool", pool=2),
             LayerSpec("flatten"),
         )
@@ -185,29 +179,6 @@ class Stage:
         return []
 
 
-class EncoderStage(LatencyEncoder, Stage):
-    """The latency encoder as the first stage: images in, a (T, N, ...) raster out."""
-
-    kind = "conv"
-
-    def __init__(self, name, in_shape, channels, timesteps, rng):
-        c, h, w = in_shape
-        LatencyEncoder.__init__(self, c, channels, timesteps, rng=rng)
-        kernel = self.k.shape[-1]
-        ho, wo = _conv_geometry(h, w, kernel, self.stride, self.pad)
-        Stage.__init__(self, name, in_shape, (channels, ho, wo),
-                       flops_conv(ho, wo, c, channels, kernel))
-
-    def unroll(self, images, training):
-        if images.ndim != 4 or tuple(images.shape[1:]) != self.in_shape:
-            raise ShapeError(
-                f"expected images (N, {', '.join(map(str, self.in_shape))}),"
-                f" got {images.shape}"
-            )
-        frames, _ = self.encode(images, training)
-        return frames, None
-
-
 class ConvStage(Stage):
     kind = "conv"
 
@@ -226,11 +197,14 @@ class ConvStage(Stage):
         self.running_var = np.ones(layer.out)
         self.stride, self.pad, self.lif = layer.stride, layer.pad, lif
 
-    def unroll(self, frames, training):
+    def drive(self, frames, training):
+        """Conv then batch norm of (N, ...) images or (T, N, ...) frames."""
         h = conv2d(frames, self.k, stride=self.stride, pad=self.pad)
-        h = batchnorm2d(h, self.gamma, self.beta, self.running_mean,
-                        self.running_var, training=training)
-        trace = lif_unroll(h, self.lif)
+        return batchnorm2d(h, self.gamma, self.beta, self.running_mean,
+                           self.running_var, training=training)
+
+    def unroll(self, frames, training):
+        trace = lif_unroll(self.drive(frames, training), self.lif)
         return trace.spikes, trace.potentials
 
     def parameters(self):
@@ -240,6 +214,28 @@ class ConvStage(Stage):
     def buffers(self):
         return [("bn.running_mean", self.running_mean),
                 ("bn.running_var", self.running_var)]
+
+
+class EncoderStage(ConvStage):
+    """The latency encoder as the first stage: images in, a (T, N, ...) raster out."""
+
+    def __init__(self, name, in_shape, channels, timesteps, rng):
+        super().__init__(name, in_shape, LayerSpec("conv", out=channels), None, rng)
+        self.timesteps = timesteps
+
+    def encode(self, images, training):
+        """Returns (the (T, N, C, H, W) spike raster, the analog features)."""
+        f = sigmoid(self.drive(images, training))
+        return latency_encode(f, self.timesteps), f
+
+    def unroll(self, images, training):
+        if images.ndim != 4 or tuple(images.shape[1:]) != self.in_shape:
+            raise ShapeError(
+                f"expected images (N, {', '.join(map(str, self.in_shape))}),"
+                f" got {images.shape}"
+            )
+        frames, _ = self.encode(images, training)
+        return frames, None
 
 
 class SewStage(ConvStage):
@@ -252,12 +248,10 @@ class SewStage(ConvStage):
     kind = "sew"
 
     def __init__(self, name, in_shape, layer, lif, rng):
-        if len(in_shape) != 3 or in_shape[0] != layer.out:
-            raise SpecError(
-                f"{name}: residual block needs matching channels, have {in_shape}"
-            )
         super().__init__(name, in_shape,
                          replace(layer, stride=1, pad=layer.kernel // 2), lif, rng)
+        if in_shape[0] != layer.out:
+            raise SpecError(f"{name}: residual block needs matching channels, have {in_shape}")
 
     def unroll(self, frames, training):
         branch, potentials = super().unroll(frames, training)

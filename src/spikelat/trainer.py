@@ -37,8 +37,7 @@ class AdamW:
             raise ContractError("lr and eps must be positive")
         if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
             raise ContractError("betas must lie in [0, 1)")
-        self.params = [t for _, t in params] if params and isinstance(
-            params[0], tuple) else list(params)
+        self.params = [t for _, t in params]
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps

@@ -2,7 +2,7 @@
 import numpy as np
 
 from spikelat.autodiff import Tensor
-from spikelat.lif import spike
+from spikelat.lif import _window
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -42,9 +42,25 @@ def check_grad(build, x0, rtol=1e-5, h=1e-6):
     return e
 
 
+def spike(u, cfg):
+    """Per-step reference spike node: fires when u >= v_th.
+
+    Backward substitutes a boxcar of height 1/width on
+    |u - v_th| <= width/2, boundary included.
+    """
+    s = (u.data >= cfg.v_th).astype(np.float64)
+    out = Tensor(s, (u,), "spike")
+
+    def bw(g, u=u, cfg=cfg):
+        u.accumulate(g * _window(u.data, cfg))
+
+    out._backward = bw
+    return out
+
+
 def tape_lif_unroll(currents, cfg):
-    """Per-step tape reference for ``lif_unroll``: leak, add, spike, reset
-    and sub nodes at every step, from a list of per-step tensors.
+    """Per-step tape reference for ``lif_unroll``: leak, add, spike and
+    reset nodes at every step, from a list of per-step tensors.
 
     Returns (spikes list, pre-reset potentials list, final potential).
     """
@@ -54,7 +70,7 @@ def tape_lif_unroll(currents, cfg):
         u_pre = u * cfg.tau_leak + c
         s = spike(u_pre, cfg)
         reset = s.detach() if cfg.detach_reset else s
-        u = u_pre - reset * cfg.v_th
+        u = u_pre + reset * (-cfg.v_th)
         spikes.append(s)
         potentials.append(u_pre)
     return spikes, potentials, u

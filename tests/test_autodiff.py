@@ -338,6 +338,13 @@ class TestErrorHandling:
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((1, 1, 5, 5))))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 4, 4), (3, 0, 2, 4, 4)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_empty_input_raises(self, shape, training):
+        with pytest.raises(ShapeError):
+            batchnorm2d(Tensor(np.zeros(shape)), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                        np.zeros(2), np.ones(2), training=training)
+
     def test_pool_indivisible_raises(self):
         with pytest.raises(ShapeError):
             avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)

@@ -125,6 +125,18 @@ class TestAnalyzeCommand:
         assert "mce" not in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("batch", [-40, 0])
+    def test_batch_below_one_is_runtime_error(self, tmp_path, capsys, batch):
+        out = run_train(tmp_path)
+        capsys.readouterr()
+        code = main([
+            "analyze", "--checkpoint", str(out / "model.ckpt"),
+            "--out", str(tmp_path / "reports"),
+        ] + fast_args(["--set", f"analyze.batch={batch}"]))
+        assert code == 3
+        assert "error: analyze.batch must be >= 1" in capsys.readouterr().err
+
+
 class TestEncodeDemo:
     def test_prints_grid_and_counts(self, capsys):
         code = main(["encode-demo"] + fast_args())

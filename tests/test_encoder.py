@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from spikelat.autodiff import Tensor
-from spikelat.encoder import LatencyEncoder, latency_encode, spike_time
+from spikelat.encoder import latency_encode, spike_time
 from spikelat.errors import ContractError
+from spikelat.network import EncoderStage, build_model, preset_spec
 
 from helpers import check_grad
 
@@ -81,27 +82,31 @@ class TestLatencyEncode:
 
 
 class TestLatencyEncoderHead:
+    """The encoder stage: conv and batch norm, a sigmoid, the latency code."""
+
+    @staticmethod
+    def stage(in_shape, channels, timesteps, seed):
+        return EncoderStage("enc", in_shape, channels, timesteps,
+                            np.random.default_rng(seed))
+
     def test_features_lie_strictly_inside_unit_interval(self):
-        rng = np.random.default_rng(4)
-        enc = LatencyEncoder(1, 4, timesteps=8, rng=rng)
-        imgs = Tensor(rng.normal(size=(2, 1, 6, 6)))
-        f = enc.features(imgs, training=True)
+        enc = self.stage((1, 6, 6), 4, timesteps=8, seed=4)
+        imgs = Tensor(np.random.default_rng(4).normal(size=(2, 1, 6, 6)))
+        _, f = enc.encode(imgs, training=True)
         assert np.all(f.data > 0.0)
         assert np.all(f.data < 1.0)
 
     def test_encode_emits_one_spike_per_feature(self):
-        rng = np.random.default_rng(5)
-        enc = LatencyEncoder(2, 3, timesteps=6, rng=rng)
-        imgs = Tensor(rng.normal(size=(4, 2, 5, 5)))
+        enc = self.stage((2, 5, 5), 3, timesteps=6, seed=5)
+        imgs = Tensor(np.random.default_rng(5).normal(size=(4, 2, 5, 5)))
         spikes, f = enc.encode(imgs, training=True)
         total = sum(s.data for s in spikes)
         np.testing.assert_array_equal(total, np.ones_like(f.data))
 
     def test_gradient_reaches_conv_kernel(self):
-        rng = np.random.default_rng(6)
-        enc = LatencyEncoder(1, 2, timesteps=4, rng=rng)
-        imgs = Tensor(rng.normal(size=(3, 1, 4, 4)))
-        spikes, _ = enc.encode(imgs, training=True)
+        enc = self.stage((1, 4, 4), 2, timesteps=4, seed=6)
+        imgs = Tensor(np.random.default_rng(6).normal(size=(3, 1, 4, 4)))
+        spikes, _ = enc.unroll(imgs, training=True)
         loss = spikes[0].sum()
         for s in spikes[1:]:
             loss = loss + (s * s).sum()
@@ -111,20 +116,31 @@ class TestLatencyEncoderHead:
 
     def test_feature_head_gradient_vs_numeric(self):
         rng = np.random.default_rng(7)
-        enc = LatencyEncoder(1, 2, timesteps=4, rng=rng)
+        enc = self.stage((1, 4, 4), 2, timesteps=4, seed=7)
         imgs = rng.normal(size=(2, 1, 4, 4))
         c = rng.normal(size=(2, 2, 4, 4))
         k0 = enc.k.data.copy()
 
         def build(t):
             enc.k = t
-            enc.running_mean = np.zeros(2)
-            enc.running_var = np.ones(2)
-            return (enc.features(Tensor(imgs), training=True) * Tensor(c)).sum()
+            _, f = enc.encode(Tensor(imgs), training=True)
+            return (f * Tensor(c)).sum()
 
         check_grad(build, k0)
 
     def test_same_seed_same_parameters(self):
-        a = LatencyEncoder(1, 3, timesteps=8, rng=np.random.default_rng(42))
-        b = LatencyEncoder(1, 3, timesteps=8, rng=np.random.default_rng(42))
-        np.testing.assert_array_equal(a.k.data, b.k.data)
+        a = self.stage((1, 8, 8), 3, timesteps=8, seed=42)
+        b = self.stage((1, 8, 8), 3, timesteps=8, seed=42)
+        for (na, ta), (nb, tb) in zip(a.parameters(), b.parameters()):
+            assert na == nb
+            np.testing.assert_array_equal(ta.data, tb.data)
+
+    def test_kernels_are_drawn_encoder_first(self):
+        spec = preset_spec("vgg-mini", (1, 16, 16), classes=4, encoder_channels=2,
+                           width=8)
+        params = dict(build_model(spec, seed=3).parameters())
+        rng = np.random.default_rng(3)
+        enc_k = rng.normal(size=(2, 1, 3, 3)) * np.sqrt(2.0 / 9)
+        s0_k = rng.normal(size=(8, 2, 3, 3)) * np.sqrt(2.0 / 18)
+        np.testing.assert_array_equal(params["enc.conv.k"].data, enc_k)
+        np.testing.assert_array_equal(params["s0.conv.k"].data, s0_k)

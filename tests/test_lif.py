@@ -3,7 +3,7 @@ import pytest
 
 from spikelat.autodiff import Tensor
 from spikelat.errors import ContractError
-from spikelat.lif import LifConfig, lif_unroll, spike
+from spikelat.lif import LifConfig, lif_unroll
 
 from helpers import manual_bptt, rel_err, tape_lif_unroll
 
@@ -62,23 +62,30 @@ class TestDynamics:
 
 
 class TestSurrogateGradient:
+    """From rest, a one-step run fires on its current and hands back the
+    boxcar window as its gradient: there is no later step to reset."""
+
+    @staticmethod
+    def one_step(values, cfg):
+        u = Tensor([values])
+        lif_unroll(u, cfg).spikes.sum().backward()
+        return u
+
     def test_window_height_and_support(self):
         cfg = LifConfig(v_th=1.0, surrogate_width=1.0)
-        u = Tensor([0.2, 0.5, 0.999, 1.0, 1.5, 1.501, 2.0])
-        spike(u, cfg).sum().backward()
-        np.testing.assert_allclose(u.grad, [0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        u = self.one_step([0.2, 0.5, 0.999, 1.0, 1.5, 1.501, 2.0], cfg)
+        np.testing.assert_allclose(u.grad[0], [0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
     def test_window_scales_with_width(self):
         cfg = LifConfig(v_th=1.0, surrogate_width=0.5)
-        u = Tensor([0.74, 0.75, 1.0, 1.25, 1.26])
-        spike(u, cfg).sum().backward()
-        np.testing.assert_allclose(u.grad, [0.0, 2.0, 2.0, 2.0, 0.0])
+        u = self.one_step([0.74, 0.75, 1.0, 1.25, 1.26], cfg)
+        np.testing.assert_allclose(u.grad[0], [0.0, 2.0, 2.0, 2.0, 0.0])
 
     def test_forward_value_unaffected_by_width(self):
         for w in (0.25, 1.0, 4.0):
             cfg = LifConfig(surrogate_width=w)
-            s = spike(Tensor([0.9, 1.1]), cfg)
-            np.testing.assert_allclose(s.data, [0.0, 1.0])
+            s = lif_unroll(Tensor([[0.9, 1.1]]), cfg).spikes
+            np.testing.assert_allclose(s.data[0], [0.0, 1.0])
 
 
 class TestBackpropThroughTime:
@@ -156,7 +163,7 @@ class TestBackpropThroughTime:
 
 
 class TestFusedNodeMatchesPerStepTape:
-    """The fused node against a tape built step by step from spike()."""
+    """The fused node against a tape built step by step from helpers.spike()."""
 
     @pytest.mark.parametrize("detach", [False, True])
     @pytest.mark.parametrize("outputs", ["spikes", "potentials", "final", "all"])
