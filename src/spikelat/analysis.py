@@ -19,8 +19,10 @@ steps, averaged over the batch. Latency-encoded layers place each neuron's
 single spike in exactly one frame, so their matrix is the identity.
 
 The robustness sweep scores the model under five image corruptions at five
-severities; its summary is the unweighted mean error over all cells. Cells
-are independent, so they run on a small thread pool sized by the
+severities; its summary is the unweighted mean error over all cells. It
+needs only labels, so it runs step-major (``trainer.predict``) and stops
+each sample after the block of steps that holds its first output spike.
+Cells are independent, so they run on a small thread pool sized by the
 SPIKELAT_THREADS environment variable (default 1).
 """
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .data import CORRUPTIONS, Dataset, corrupt
 from .errors import ContractError
 from .network import Model, flops_conv, flops_fc  # noqa: F401  (count formulas)
-from .trainer import evaluate
+from .trainer import predict
 
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
@@ -243,7 +245,8 @@ class RobustnessReport:
 
 def robustness_eval(model: Model, ds: Dataset, batch_size=64, seed=0,
                     severities=range(1, 6), kinds=CORRUPTIONS,
-                    corruption_params=None, predict_fn=None) -> RobustnessReport:
+                    corruption_params=None, predict_fn=None,
+                    tiebreak="spikers") -> RobustnessReport:
     """Error rates under every corruption/severity cell, plus the clean run.
 
     Each cell corrupts the evaluation images with its own fixed seed, so
@@ -259,9 +262,10 @@ def robustness_eval(model: Model, ds: Dataset, batch_size=64, seed=0,
         if predict_fn is not None:
             pred = np.asarray(predict_fn(images))
             return float((pred != ds.labels).mean())
-        res = evaluate(model, Dataset(images, ds.labels, ds.classes),
-                       batch_size=batch_size)
-        return 1.0 - res.accuracy
+        decisions = predict(model, Dataset(images, ds.labels, ds.classes),
+                            batch_size, tiebreak)
+        labels = np.array([d.label for d in decisions], dtype=np.int64)
+        return 1.0 - float((labels == ds.labels).mean())
 
     def run_cell(cell):
         kind, severity = cell

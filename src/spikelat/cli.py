@@ -181,7 +181,8 @@ def cmd_analyze(args, cfg: Config) -> int:
 
     if cfg["analyze.robustness"]:
         rob = robustness_eval(model, ds, batch_size=cfg["analyze.batch"],
-                              seed=cfg["analyze.seed"])
+                              seed=cfg["analyze.seed"],
+                              tiebreak=cfg["decode.tiebreak"])
         write_robustness_csv(out / "robustness.csv", rob)
         write_robustness_gnuplot(out / "robustness.dat",
                                  out / "robustness.gp", rob)

@@ -33,10 +33,14 @@ class Decision:
     tied: bool         # an exact potential tie was broken by index
 
 
+def _values(a):
+    """A tensor's array, or the value itself (an ndarray's ``.data`` is its buffer)."""
+    return a if isinstance(a, np.ndarray) else getattr(a, "data", a)
+
+
 def _frames(seq):
     """(T, N, C) array of a (T, N, C) tensor or array, or of (N, C) steps."""
-    frames = [np.asarray(getattr(a, "data", a), dtype=np.float64)
-              for a in getattr(seq, "data", seq)]
+    frames = [np.asarray(_values(a), dtype=np.float64) for a in _values(seq)]
     if not frames:
         raise ContractError("decoding needs at least one timestep")
     if any(f.shape != frames[0].shape or f.ndim != 2 for f in frames):
@@ -44,11 +48,12 @@ def _frames(seq):
     return np.stack(frames)
 
 
-def decode_batch(spikes, potentials, tiebreak: str = "spikers"):
+def decode_batch(spikes, potentials, tiebreak: str = "spikers", first_step=1):
     """First-spike decisions for a batch.
 
     ``spikes`` and ``potentials`` are (T, N, C) tensors or arrays, or step
     sequences of (N, C) ones; spike values count as firing when positive.
+    Exit steps count from ``first_step``, the number of the first step given.
     """
     if tiebreak not in TIEBREAKS:
         raise ContractError(f"tiebreak must be one of {TIEBREAKS}")
@@ -69,7 +74,7 @@ def decode_batch(spikes, potentials, tiebreak: str = "spikers"):
     labels = winners.argmax(axis=1)
     tied = winners.sum(axis=1) > 1
     return [
-        Decision(label=label, exit_step=t + 1, spiked=fired_any, tied=tie)
+        Decision(label=label, exit_step=t + first_step, spiked=fired_any, tied=tie)
         for label, t, fired_any, tie in zip(labels.tolist(), step.tolist(),
                                              any_spike.tolist(), tied.tolist())
     ]

@@ -58,8 +58,9 @@ class LifTrace:
         return len(self.spikes)
 
 
-def lif_unroll(currents, cfg: LifConfig) -> LifTrace:
-    """Run a population from rest over (T, ...) currents (a list of step
+def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
+    """Run a population from rest, or from the constant potential ``u0``
+    (a previous run's ``final``), over (T, ...) currents (a list of step
     tensors is stacked first): u_pre = tau*u + I, s = [u_pre >= v_th],
     u = u_pre - s*v_th. The recurrence is one tape node whose backward is
     the explicit adjoint, swept in place from the last step: du_pre = dU +
@@ -72,7 +73,7 @@ def lif_unroll(currents, cfg: LifConfig) -> LifTrace:
         raise ContractError("lif_unroll needs at least one timestep")
     pots = np.empty_like(drive)
     spikes = np.empty_like(drive)
-    u = np.zeros_like(drive[0])
+    u = np.zeros_like(drive[0]) if u0 is None else np.array(u0, dtype=np.float64)
     for t in range(len(drive)):
         np.multiply(u, tau, out=pots[t])
         pots[t] += drive[t]

@@ -158,9 +158,11 @@ class Stage:
     (per sample, without batch), ``flops`` (connections per sample per
     presentation, what the energy model charges) and whether it is
     ``spiking``, i.e. emits the spike-valued frames a forward record keeps.
-    ``unroll(frames, training)`` maps its predecessor's (T, N, ...) tensor
-    to its own and returns it with its population's (T, N, ...) pre-reset
-    potentials, or None for a stage without one.
+    ``unroll(frames, training, u0=None)`` maps its predecessor's (T, N, ...)
+    tensor to its own and returns it with its population's ``LifTrace``, or
+    None for a stage without one; a population starts from rest, or from
+    ``u0``, an earlier run's ``final`` potential, so a stage can also be
+    stepped through time a block of frames at a time.
     """
 
     spiking = True
@@ -203,9 +205,9 @@ class ConvStage(Stage):
         return batchnorm2d(h, self.gamma, self.beta, self.running_mean,
                            self.running_var, training=training)
 
-    def unroll(self, frames, training):
-        trace = lif_unroll(self.drive(frames, training), self.lif)
-        return trace.spikes, trace.potentials
+    def unroll(self, frames, training, u0=None):
+        trace = lif_unroll(self.drive(frames, training), self.lif, u0)
+        return trace.spikes, trace
 
     def parameters(self):
         return [("conv.k", self.k), ("bn.gamma", self.gamma),
@@ -228,7 +230,7 @@ class EncoderStage(ConvStage):
         f = sigmoid(self.drive(images, training))
         return latency_encode(f, self.timesteps), f
 
-    def unroll(self, images, training):
+    def unroll(self, images, training, u0=None):
         if images.ndim != 4 or tuple(images.shape[1:]) != self.in_shape:
             raise ShapeError(
                 f"expected images (N, {', '.join(map(str, self.in_shape))}),"
@@ -253,9 +255,9 @@ class SewStage(ConvStage):
         if in_shape[0] != layer.out:
             raise SpecError(f"{name}: residual block needs matching channels, have {in_shape}")
 
-    def unroll(self, frames, training):
-        branch, potentials = super().unroll(frames, training)
-        return branch + frames, potentials
+    def unroll(self, frames, training, u0=None):
+        branch, trace = super().unroll(frames, training, u0)
+        return branch + frames, trace
 
 
 class PoolStage(Stage):
@@ -271,7 +273,7 @@ class PoolStage(Stage):
         super().__init__(name, in_shape, (c, h // layer.pool, w // layer.pool))
         self.size = layer.pool
 
-    def unroll(self, frames, training):
+    def unroll(self, frames, training, u0=None):
         return avg_pool2d(frames, self.size), None
 
 
@@ -282,7 +284,7 @@ class FlattenStage(Stage):
     def __init__(self, name, in_shape, layer, lif, rng):
         super().__init__(name, in_shape, (int(np.prod(in_shape)),))
 
-    def unroll(self, frames, training):
+    def unroll(self, frames, training, u0=None):
         return frames.reshape(frames.shape[:2] + self.out_shape), None
 
 
@@ -300,9 +302,9 @@ class LinearStage(Stage):
         self.b = Tensor(np.zeros(layer.out))
         self.lif = lif
 
-    def unroll(self, frames, training):
-        trace = lif_unroll(linear(frames, self.w, self.b), self.lif)
-        return trace.spikes, trace.potentials
+    def unroll(self, frames, training, u0=None):
+        trace = lif_unroll(linear(frames, self.w, self.b), self.lif, u0)
+        return trace.spikes, trace
 
     def parameters(self):
         return [("lin.w", self.w), ("lin.b", self.b)]
@@ -324,11 +326,11 @@ class Model:
         frames = images
         record_frames = {}
         for stage in self.audit:
-            frames, potentials = stage.unroll(frames, training)
+            frames, trace = stage.unroll(frames, training)
             if stage.spiking:
                 record_frames[stage.name] = frames.data
         return ForwardRecord(
-            logits=potentials,
+            logits=trace.potentials,
             out_spikes=frames,
             stage_spikes=record_frames,
             batch=images.shape[0],

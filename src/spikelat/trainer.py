@@ -135,6 +135,59 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first",
                       fallback, predicted, decisions)
 
 
+def predict(model: Model, ds: Dataset, batch_size=64,
+            tiebreak="spikers") -> list:
+    """``evaluate``'s first-spike decisions, from a step-major eval pass.
+
+    Time is the outer loop: a batch's encoder raster runs through every
+    stage in blocks of 1, 2, 4, ... steps, and each LIF population carries
+    only its potential into the next block. A sample leaves after the block
+    that holds its first output spike, so its rows are dropped from every
+    stage's state and from every later block; samples that never fire run
+    to T and take the fallback. A block that frees no sample paid a pass
+    over the stages for nothing, so the rest of the window then runs as one
+    block. Eval-mode batch norm is affine per channel, so dropping rows
+    changes nothing for the others.
+    """
+    if len(ds) == 0:
+        raise ContractError("predict needs at least one image")
+    decisions = []
+    for imgs, _ in batches(ds, batch_size, shuffle=False):
+        decisions.extend(_first_spike_decisions(model, Tensor(imgs), tiebreak))
+    return decisions
+
+
+def _first_spike_decisions(model: Model, images: Tensor, tiebreak):
+    raster = model.encoder.unroll(images, training=False)[0].data
+    out = [None] * len(images)
+    live = np.arange(len(images))   # rows still running, in batch order
+    state = {}                      # stage name -> potentials of the live rows
+    t, width = 0, 1
+    while True:
+        # a rest of at most two blocks of this width runs as one
+        n = len(raster) - t if t + 2 * width >= len(raster) else width
+        rows = live if len(live) < len(images) else slice(None)   # a view while all run
+        frames = Tensor(raster[t : t + n, rows])
+        for stage in (*model.stages, model.output):
+            frames, trace = stage.unroll(frames, False, state.get(stage.name))
+            if trace is not None:
+                state[stage.name] = trace.final.data
+        t += n
+        done = frames.data.any(axis=(0, 2)) | (t == len(raster))
+        if not done.any():     # no row left: run the rest in one block
+            width = len(raster)
+            continue
+        decided = decode_batch(frames.data[:, done], trace.potentials.data[:, done],
+                               tiebreak, first_step=t - n + 1)
+        for row, d in zip(live[done], decided):
+            out[row] = d
+        live = live[~done]
+        if not len(live):
+            return out
+        state = {name: u[~done] for name, u in state.items()}
+        width *= 2
+
+
 @dataclass
 class EpochRow:
     epoch: int

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from spikelat import trainer
 from spikelat.cli import main
 from spikelat.data import save_idx, synth_digits
 
@@ -124,6 +125,25 @@ class TestAnalyzeCommand:
         assert not (rep / "robustness.csv").exists()
         assert "mce" not in capsys.readouterr().out
 
+
+    def test_robustness_uses_the_configured_tiebreak(self, tmp_path, capsys,
+                                                     monkeypatch):
+        out = run_train(tmp_path)
+        capsys.readouterr()
+        seen = []
+        real = trainer.decode_batch
+
+        def recording(spikes, potentials, tiebreak="spikers", **kwargs):
+            seen.append(tiebreak)
+            return real(spikes, potentials, tiebreak, **kwargs)
+
+        monkeypatch.setattr(trainer, "decode_batch", recording)
+        code = main([
+            "analyze", "--checkpoint", str(out / "model.ckpt"),
+            "--out", str(tmp_path / "reports"),
+        ] + fast_args(["--set", "decode.tiebreak=all"]))
+        assert code == 0
+        assert seen and set(seen) == {"all"}
 
     @pytest.mark.parametrize("batch", [-40, 0])
     def test_batch_below_one_is_runtime_error(self, tmp_path, capsys, batch):

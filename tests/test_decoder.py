@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,9 @@ class TestFirstSpikeRule:
                 got = decode_batch(spikes, pots, tiebreak=mode)
                 ref = reference_decode(spikes, pots, mode)
                 assert got == ref, f"trial {trial} mode {mode}"
+                # (T, N, C) arrays, with steps numbered from 7
+                got = decode_batch(np.stack(spikes), np.stack(pots), mode, first_step=7)
+                assert got == [replace(d, exit_step=d.exit_step + 6) for d in ref]
 
     def test_accepts_tensors_straight_from_forward(self):
         spec = preset_spec("mlp-mini", (1, 8, 8), classes=3, timesteps=5,

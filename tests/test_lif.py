@@ -31,6 +31,20 @@ class TestDynamics:
         np.testing.assert_allclose(trace.spikes.data[0], [1.0, 0.0])
         np.testing.assert_allclose(trace.final.data, [0.3, 0.7], rtol=1e-12)
 
+    def test_carried_potential_continues_the_run(self):
+        rng = np.random.default_rng(3)
+        cfg = LifConfig()
+        currents = rng.normal(0.5, 0.6, size=(6, 3, 4))
+        whole = lif_unroll(Tensor(currents), cfg)
+        head = lif_unroll(Tensor(currents[:2]), cfg)
+        u0 = head.final.data.copy()
+        tail = lif_unroll(Tensor(currents[2:]), cfg, u0=u0)
+        assert np.array_equal(u0, head.final.data)          # u0 is not written
+        for part in ("spikes", "potentials"):
+            joined = np.concatenate([getattr(head, part).data, getattr(tail, part).data])
+            assert np.array_equal(joined, getattr(whole, part).data), part
+        assert np.array_equal(tail.final.data, whole.final.data)
+
     def test_spikes_are_binary(self):
         rng = np.random.default_rng(0)
         cfg = LifConfig()
