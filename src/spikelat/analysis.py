@@ -36,7 +36,7 @@ import numpy as np
 from .data import CORRUPTIONS, Dataset, corrupt
 from .errors import ContractError
 from .network import Model, flops_conv, flops_fc  # noqa: F401  (count formulas)
-from .trainer import predict
+from .trainer import evaluate, predict  # noqa: F401  (evaluate: public name)
 
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9

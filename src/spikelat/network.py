@@ -329,8 +329,11 @@ class Model:
             frames, trace = stage.unroll(frames, training)
             if stage.spiking:
                 record_frames[stage.name] = frames.data
+            if trace is not None:
+                logits = trace.potentials
+            del trace   # free the final potential before the next stage runs
         return ForwardRecord(
-            logits=trace.potentials,
+            logits=logits,
             out_spikes=frames,
             stage_spikes=record_frames,
             batch=images.shape[0],
