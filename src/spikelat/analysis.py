@@ -253,6 +253,7 @@ def robustness_eval(model: Model, ds: Dataset, batch_size=64, seed=0,
     results do not depend on scheduling; the thread pool only adds overlap.
     ``predict_fn`` swaps the model out for any images->labels callable, which
     lets the harness score reference classifiers (``model`` may be None then).
+    The model's own decisions are first-spike ones under ``tiebreak``.
     """
     kinds = tuple(kinds)
     severities = tuple(severities)
