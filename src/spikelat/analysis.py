@@ -244,39 +244,32 @@ class RobustnessReport:
 
 
 def robustness_eval(model: Model, ds: Dataset, batch_size=64, seed=0,
-                    severities=range(1, 6), kinds=CORRUPTIONS,
-                    corruption_params=None, predict_fn=None,
-                    tiebreak="spikers") -> RobustnessReport:
-    """Error rates under every corruption/severity cell, plus the clean run.
+                    predict_fn=None) -> RobustnessReport:
+    """Error rates under every corruption at severities 1..5, plus the clean run.
 
     Each cell corrupts the evaluation images with its own fixed seed, so
     results do not depend on scheduling; the thread pool only adds overlap.
     ``predict_fn`` swaps the model out for any images->labels callable, which
     lets the harness score reference classifiers (``model`` may be None then).
-    The model's own decisions are first-spike ones under ``tiebreak``.
     """
-    kinds = tuple(kinds)
-    severities = tuple(severities)
-    params = corruption_params or {}
 
     def error_on(images):
         if predict_fn is not None:
             pred = np.asarray(predict_fn(images))
             return float((pred != ds.labels).mean())
         decisions = predict(model, Dataset(images, ds.labels, ds.classes),
-                            batch_size, tiebreak)
+                            batch_size)
         labels = np.array([d.label for d in decisions], dtype=np.int64)
         return 1.0 - float((labels == ds.labels).mean())
 
     def run_cell(cell):
         kind, severity = cell
         imgs = corrupt(ds.images, kind, severity,
-                       seed=seed + 131 * kinds.index(kind) + severity,
-                       **params.get(kind, {}))
+                       seed=seed + 131 * CORRUPTIONS.index(kind) + severity)
         return cell, error_on(imgs)
 
     clean = error_on(ds.images)
-    cells = [(k, s) for k in kinds for s in severities]
+    cells = [(k, s) for k in CORRUPTIONS for s in range(1, 6)]
     results = {}
     workers = thread_count()
     if workers == 1:

@@ -146,7 +146,6 @@ def cmd_eval(args, cfg: Config) -> int:
         ds,
         batch_size=cfg["train.batch_size"],
         decode=cfg["decode.mode"],
-        tiebreak=cfg["decode.tiebreak"],
     )
     print(f"accuracy {res.accuracy:.10g}")
     print(f"mean_exit {res.mean_exit:.10g}")
@@ -181,8 +180,7 @@ def cmd_analyze(args, cfg: Config) -> int:
 
     if cfg["analyze.robustness"]:
         rob = robustness_eval(model, ds, batch_size=cfg["analyze.batch"],
-                              seed=cfg["analyze.seed"],
-                              tiebreak=cfg["decode.tiebreak"])
+                              seed=cfg["analyze.seed"])
         write_robustness_csv(out / "robustness.csv", rob)
         write_robustness_gnuplot(out / "robustness.dat",
                                  out / "robustness.gp", rob)

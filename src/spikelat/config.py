@@ -56,6 +56,7 @@ REGISTRY = [
     ConfigKey("train.tau", float, 2.0),
     ConfigKey("train.detach_weights", bool, True),
     ConfigKey("train.seed", int, 0),
+    # accepted so older snapshots still load; no effect (decoder.py says why)
     ConfigKey("decode.tiebreak", str, "spikers", ("spikers", "all")),
     ConfigKey("decode.mode", str, "first", ("first", "rate")),
     ConfigKey("analyze.batch", int, 64),

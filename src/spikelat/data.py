@@ -47,6 +47,14 @@ class Dataset:
         return self.images.shape[0]
 
 
+def seeded_rng(what, seed, **values):
+    """numpy's generator for ``seed``, once it and every other value are >= 0."""
+    for name, value in {what: seed, **values}.items():
+        if value < 0:
+            raise ContractError(f"{name} must be >= 0, got {value}")
+    return np.random.default_rng(seed)
+
+
 # -- IDX files ---------------------------------------------------------------
 
 
@@ -130,7 +138,7 @@ def synth_blobs(n, classes, size=8, noise=0.10, jitter=0.5, label_noise=0.0,
     """
     if classes < 2 or classes > 12:
         raise ContractError("synth_blobs supports 2..12 classes")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng("seed", seed, count=n, noise=noise, jitter=jitter)
     phase = np.random.default_rng(layout_seed).uniform(0, 2 * np.pi)
     center = (size - 1) / 2.0
     radius = size * 0.28
@@ -179,7 +187,7 @@ def synth_digits(n, size=16, jitter=1, noise=0.08, seed=0) -> Dataset:
     """Ten fixed digit glyphs, upscaled with position jitter and noise."""
     if size < 16:
         raise ContractError("synth_digits needs size >= 16")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng("seed", seed, count=n, noise=noise, jitter=jitter)
     labels = rng.integers(0, 10, size=n)
     stamps = [np.kron(_glyph_bitmap(d), np.ones((2, 2))) for d in range(10)]
     gh, gw = stamps[0].shape
@@ -227,7 +235,7 @@ def corrupt(images, kind, severity, seed=0, **params):
     if unknown:
         raise ContractError(f"{kind} does not take parameters {sorted(unknown)}")
     p.update(params)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng("corruption seed", seed)
 
     if kind == "gaussian":
         out = x + rng.normal(scale=p["scale"] * severity, size=x.shape)
@@ -263,7 +271,7 @@ def batches(ds: Dataset, batch_size, seed=0, shuffle=True):
     n = len(ds)
     idx = np.arange(n)
     if shuffle:
-        idx = np.random.default_rng(seed).permutation(n)
+        idx = seeded_rng("batch order seed", seed).permutation(n)
     for start in range(0, n, batch_size):
         sel = idx[start : start + batch_size]
         yield ds.images[sel], ds.labels[sel]

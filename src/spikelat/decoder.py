@@ -11,6 +11,10 @@ explicitly and flagged on the result:
 * no output neuron fires inside the window: fall back to the highest
   potential at the final step, with the exit time pinned to the window end.
 
+The two tiebreaks agree on any LIF readout: a LIF neuron fires exactly when
+its pre-reset potential reaches threshold, so at the first firing step every
+spiker's potential is above every silent neuron's. They differ only on
+rasters a LIF population cannot produce, and the package uses the default.
 Exact potential ties resolve to the lowest class index and are flagged. A
 rate readout (most spikes wins) is kept alongside for comparison runs.
 """

@@ -53,10 +53,6 @@ class LifTrace:
     potentials: Tensor
     final: Tensor
 
-    @property
-    def steps(self) -> int:
-        return len(self.spikes)
-
 
 def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
     """Run a population from rest, or from the constant potential ``u0``

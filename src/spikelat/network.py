@@ -27,6 +27,7 @@ import numpy as np
 
 from .autodiff import (Tensor, _conv_geometry, avg_pool2d, batchnorm2d, conv2d,
                        linear, sigmoid)
+from .data import seeded_rng
 from .encoder import latency_encode
 from .errors import ShapeError, SpecError
 from .lif import LifConfig, lif_unroll
@@ -44,6 +45,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in ("conv", "sew", "pool", "flatten", "linear"):
             raise SpecError(f"unknown layer kind {self.kind!r}")
+        if self.kind in ("conv", "sew", "linear") and self.out < 1:
+            raise SpecError(f"{self.kind} layer needs out >= 1, got {self.out}")
 
 
 @dataclass(frozen=True)
@@ -368,10 +371,6 @@ class Model:
             extra = ", ".join(sorted(state))
             raise SpecError(f"checkpoint carries unknown arrays: {extra}")
 
-    def zero_grad(self):
-        for _, t in self.parameters():
-            t.zero_grad()
-
 
 def build_model(spec: ModelSpec, seed: int = 0) -> Model:
     """Materialize parameters for a spec with a deterministic initializer.
@@ -379,7 +378,7 @@ def build_model(spec: ModelSpec, seed: int = 0) -> Model:
     Each stage is built from its predecessor's output shape, so shapes and
     connection counts are worked out once, by the stages themselves.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng("model seed", seed)
     encoder = EncoderStage("enc", spec.input_shape, spec.encoder_channels,
                            spec.timesteps, rng)
     stages = []

@@ -99,12 +99,10 @@ class EvalResult:
     mean_exit: float
     sparsity: float
     fallback_rate: float
-    predicted: np.ndarray
     decisions: list = field(default_factory=list)
 
 
-def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first",
-             tiebreak="spikers") -> EvalResult:
+def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first") -> EvalResult:
     """Run the model over a dataset in eval mode and score the decisions."""
     if decode not in ("first", "rate"):
         raise ContractError("decode must be 'first' or 'rate'")
@@ -117,7 +115,7 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first",
         rec = model.forward(Tensor(imgs), training=False)
         spike_share += rec.sparsity() * rec.batch
         if decode == "first":
-            ds_batch = decode_batch(rec.out_spikes, rec.logits, tiebreak)
+            ds_batch = decode_batch(rec.out_spikes, rec.logits)
             decisions.extend(ds_batch)
             predicted.extend(d.label for d in ds_batch)
         else:
@@ -132,11 +130,10 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first",
         mean_exit = float(model.spec.timesteps)
         fallback = 0.0
     return EvalResult(accuracy, mean_exit, spike_share / len(predicted),
-                      fallback, predicted, decisions)
+                      fallback, decisions)
 
 
-def predict(model: Model, ds: Dataset, batch_size=64,
-            tiebreak="spikers") -> list:
+def predict(model: Model, ds: Dataset, batch_size=64) -> list:
     """``evaluate``'s first-spike decisions, from a step-major eval pass.
 
     Time is the outer loop: a batch's encoder raster runs through every
@@ -153,11 +150,11 @@ def predict(model: Model, ds: Dataset, batch_size=64,
         raise ContractError("predict needs at least one image")
     decisions = []
     for imgs, _ in batches(ds, batch_size, shuffle=False):
-        decisions.extend(_first_spike_decisions(model, Tensor(imgs), tiebreak))
+        decisions.extend(_first_spike_decisions(model, Tensor(imgs)))
     return decisions
 
 
-def _first_spike_decisions(model: Model, images: Tensor, tiebreak):
+def _first_spike_decisions(model: Model, images: Tensor):
     raster = model.encoder.unroll(images, training=False)[0].data
     out = [None] * len(images)
     live = np.arange(len(images))   # rows still running, in batch order
@@ -178,7 +175,7 @@ def _first_spike_decisions(model: Model, images: Tensor, tiebreak):
             width = len(raster)
             continue
         decided = decode_batch(frames.data[:, done], trace.potentials.data[:, done],
-                               tiebreak, first_step=t - n + 1)
+                               first_step=t - n + 1)
         for row, d in zip(live[done], decided):
             out[row] = d
         live = live[~done]

@@ -266,14 +266,6 @@ class TestRobustness:
         with pytest.raises(ContractError):
             thread_count()
 
-    def test_corruption_params_pass_through(self):
-        mild = robustness_eval(self.model, self.ds, batch_size=32, seed=4,
-                               kinds=("gaussian",),
-                               corruption_params={"gaussian": {"scale": 1e-6}})
-        clean = mild.clean_error
-        for err in mild.cells.values():
-            assert abs(err - clean) < 0.15
-
     def test_predict_fn_replaces_model(self):
         # A constant predictor is immune to corruption, so every cell's
         # error equals the clean error: the fraction of labels != 0.

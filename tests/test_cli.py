@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import pytest
 
-from spikelat import trainer
 from spikelat.cli import main
 from spikelat.data import save_idx, synth_digits
 
@@ -125,25 +124,20 @@ class TestAnalyzeCommand:
         assert not (rep / "robustness.csv").exists()
         assert "mce" not in capsys.readouterr().out
 
-
-    def test_robustness_uses_the_configured_tiebreak(self, tmp_path, capsys,
-                                                     monkeypatch):
-        out = run_train(tmp_path)
+    def test_tiebreak_setting_changes_no_output(self, tmp_path, capsys):
+        ckpt = str(run_train(tmp_path) / "model.ckpt")
         capsys.readouterr()
-        seen = []
-        real = trainer.decode_batch
-
-        def recording(spikes, potentials, tiebreak="spikers", **kwargs):
-            seen.append(tiebreak)
-            return real(spikes, potentials, tiebreak, **kwargs)
-
-        monkeypatch.setattr(trainer, "decode_batch", recording)
-        code = main([
-            "analyze", "--checkpoint", str(out / "model.ckpt"),
-            "--out", str(tmp_path / "reports"),
-        ] + fast_args(["--set", "decode.tiebreak=all"]))
-        assert code == 0
-        assert seen and set(seen) == {"all"}
+        outputs = []
+        for tiebreak in ("spikers", "all"):
+            rep = tmp_path / tiebreak
+            extra = fast_args(["--set", f"decode.tiebreak={tiebreak}"])
+            assert main(["eval", "--checkpoint", ckpt] + extra) == 0
+            assert main(["analyze", "--checkpoint", ckpt, "--out", str(rep)]
+                        + extra) == 0
+            stdout = capsys.readouterr().out.replace(str(rep), "<out>")
+            outputs.append((stdout, {f.name: f.read_bytes() for f in rep.iterdir()}))
+        assert "robustness.csv" in outputs[0][1]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("batch", [-40, 0])
     def test_batch_below_one_is_runtime_error(self, tmp_path, capsys, batch):
@@ -178,7 +172,46 @@ class TestEncodeDemo:
         assert code == 3
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained") / "run"
+    assert main(["train", "--out", str(out)] + fast_args()) == 0
+    return str(out / "model.ckpt")
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("command, settings, message", [
+        ("train", "data.train_count=-1", "count must be >= 0, got -1"),
+        ("train", "data.eval_count=-1", "count must be >= 0, got -1"),
+        ("eval", "data.eval_count=-1", "count must be >= 0, got -1"),
+        ("train", "data.noise=-0.5", "noise must be >= 0, got -0.5"),
+        ("train", "data.source=digits data.noise=-0.5", "noise must be >= 0"),
+        ("train", "data.jitter=-1", "jitter must be >= 0, got -1"),
+        ("train", "data.seed=-1", "seed must be >= 0, got -1"),
+        ("train", "model.seed=-1", "model seed must be >= 0, got -1"),
+        ("train", "train.seed=-2", "batch order seed must be >= 0"),
+        ("analyze", "analyze.seed=-1000", "corruption seed must be >= 0"),
+        ("train", "model.hidden=0", "linear layer needs out >= 1, got 0"),
+        ("train", "model.preset=vgg-mini model.width=0",
+         "conv layer needs out >= 1, got 0"),
+        ("train", "model.preset=vgg-mini model.width=-2",
+         "conv layer needs out >= 1, got -2"),
+    ])
+    def test_bad_numeric_setting_is_runtime_error(self, tmp_path, capsys, request,
+                                                  command, settings, message):
+        if command == "train":
+            args = ["train", "--out", str(tmp_path / "run")]
+        elif command == "eval":
+            args = ["eval", "--checkpoint", str(tmp_path / "none.ckpt")]
+        else:
+            args = ["analyze", "--checkpoint",
+                    request.getfixturevalue("trained_checkpoint"),
+                    "--out", str(tmp_path / "reports")]
+        extra = [arg for kv in settings.split() for arg in ("--set", kv)]
+        capsys.readouterr()
+        assert main(args + fast_args(extra)) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_bad_set_key_is_usage_error(self, capsys):
         code = main(["train", "--set", "zzz=1"])
         assert code == 2

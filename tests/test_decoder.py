@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikelat.autodiff import Tensor
 from spikelat.decoder import (
@@ -11,7 +14,7 @@ from spikelat.decoder import (
     rate_decode,
 )
 from spikelat.errors import ContractError
-from spikelat.lif import LifConfig
+from spikelat.lif import LifConfig, lif_unroll
 from spikelat.network import build_model, preset_spec
 
 
@@ -109,6 +112,35 @@ class TestFirstSpikeRule:
             decode_batch([], [])
         with pytest.raises(ContractError):
             decode_batch([np.zeros((2, 3))], [np.zeros((2, 3))], tiebreak="coin")
+
+
+@st.composite
+def lif_readouts(draw):
+    """Spikes and pre-reset potentials of a LIF output population over a
+    (T, N, C) window that may continue a carried potential, so its steps
+    count from ``first_step``. Currents often sit exactly on threshold, and
+    with ``tau_leak`` 0 so do the potentials: exact ties among spikers."""
+    cfg = LifConfig(tau_leak=draw(st.floats(0.0, 1.0)), v_th=draw(st.floats(0.125, 4.0)))
+    t, n, c = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    levels = st.sampled_from([cfg.v_th, 0.5 * cfg.v_th, 0.0, -cfg.v_th])
+    currents = draw(arrays(np.float64, (t, n, c),
+                           elements=st.one_of(levels, st.floats(-3.0, 3.0))))
+    carried = draw(st.integers(0, t - 1))     # steps run before this window
+    u0 = lif_unroll(Tensor(currents[:carried]), cfg).final.data if carried else None
+    trace = lif_unroll(Tensor(currents[carried:]), cfg, u0)
+    return trace.spikes.data, trace.potentials.data, carried + 1
+
+
+class TestTiebreaksOnLifReadouts:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(readout=lif_readouts())
+    def test_tiebreaks_agree(self, readout):
+        """At the first firing step every spiker's potential has reached
+        v_th and every silent neuron's has not, so letting all compete
+        cannot change the winner."""
+        spikes, pots, first_step = readout
+        assert (decode_batch(spikes, pots, "spikers", first_step)
+                == decode_batch(spikes, pots, "all", first_step))
 
 
 class TestRateDecode:

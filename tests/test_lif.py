@@ -219,7 +219,7 @@ class TestFusedNodeMatchesPerStepTape:
         a = lif_unroll([Tensor(c) for c in cur], LifConfig())
         b = lif_unroll(Tensor(cur), LifConfig())
         assert np.array_equal(a.spikes.data, b.spikes.data)
-        assert len(a.spikes) == a.steps == 4
+        assert len(a.spikes) == 4
 
     def test_graph_is_freed_without_the_cycle_collector(self):
         import gc

@@ -54,10 +54,12 @@ def layer_major(model, ds, tiebreak):
 @pytest.mark.parametrize("trained", [False, True])
 @pytest.mark.parametrize("preset", ["mlp-mini", "vgg-mini", "sew-mini"])
 def test_matches_layer_major_decisions(models, preset, trained, tiebreak):
+    """The oracle decodes under either tiebreak: on a LIF readout both give
+    the decisions ``predict`` and ``evaluate`` make with the default."""
     model, ds = models[preset, trained]
     want = layer_major(model, ds, tiebreak)
-    assert predict(model, ds, BATCH, tiebreak) == want
-    assert evaluate(model, ds, BATCH, tiebreak=tiebreak).decisions == want
+    assert predict(model, ds, BATCH) == want
+    assert evaluate(model, ds, BATCH).decisions == want
 
 
 def test_untrained_vgg_batch_is_all_fallback(models):
