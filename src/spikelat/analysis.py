@@ -22,13 +22,11 @@ The robustness sweep scores the model under five image corruptions at five
 severities; its summary is the unweighted mean error over all cells. It
 needs only labels, so it runs step-major (``trainer.predict``) and stops
 each sample after the block of steps that holds its first output spike.
-Cells are independent, so they run on a small thread pool sized by the
-SPIKELAT_THREADS environment variable (default 1).
+The cells run serially in a fixed order, each with its own fixed seed.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +35,6 @@ from .data import CORRUPTIONS, Dataset, corrupt
 from .errors import ContractError
 from .network import Model, flops_conv, flops_fc  # noqa: F401  (count formulas)
 from .trainer import evaluate, predict  # noqa: F401  (evaluate: public name)
-
-E_MAC_PJ = 4.6
-E_AC_PJ = 0.9
 
 PLATFORM_SHARES = {
     "truenorth": (0.6, 0.4),
@@ -52,6 +47,8 @@ PLATFORM_SHARES = {
 # totals then come out exact instead of accumulating binary drift.
 _MAC_TENTHS = 46.0
 _AC_TENTHS = 9.0
+E_MAC_PJ = _MAC_TENTHS / 10    # the same double as the literal 4.6
+E_AC_PJ = _AC_TENTHS / 10      # and as 0.9
 
 
 def energy_ann(flops) -> float:
@@ -88,20 +85,14 @@ def normalized_energy(timesteps, spikes, base_timesteps, base_spikes,
                       platform="truenorth") -> float:
     """Cost relative to a baseline run on a static/dynamic split platform.
 
-    The platform is a named entry in ``PLATFORM_SHARES`` or an explicit
-    (static_share, dynamic_share) pair. Static cost scales with the window
-    length, dynamic cost with spike counts, both against the baseline.
+    The platform is a named entry in ``PLATFORM_SHARES``. Static cost
+    scales with the window length, dynamic cost with spike counts, both
+    against the baseline.
     """
-    if isinstance(platform, str):
-        try:
-            static, dynamic = PLATFORM_SHARES[platform]
-        except KeyError:
-            raise ContractError(
-                f"unknown platform {platform!r}, expected one of "
-                f"{sorted(PLATFORM_SHARES)}"
-            ) from None
-    else:
-        static, dynamic = platform
+    if platform not in PLATFORM_SHARES:
+        raise ContractError(f"unknown platform {platform!r}, expected one of "
+                            f"{sorted(PLATFORM_SHARES)}")
+    static, dynamic = PLATFORM_SHARES[platform]
     if base_timesteps <= 0 or base_spikes <= 0:
         raise ContractError("baseline figures must be positive")
     return float(static * (timesteps / base_timesteps)
@@ -222,20 +213,6 @@ def write_similarity_gnuplot(dat_path, gp_path, matrix):
 # -- robustness --------------------------------------------------------------
 
 
-def thread_count() -> int:
-    """Worker cap for the corruption sweep, from SPIKELAT_THREADS."""
-    raw = os.environ.get("SPIKELAT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ContractError(
-            f"SPIKELAT_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ContractError(f"SPIKELAT_THREADS must be >= 1, got {n}")
-    return n
-
-
 @dataclass
 class RobustnessReport:
     clean_error: float
@@ -247,8 +224,9 @@ def robustness_eval(model: Model, ds: Dataset, batch_size=64, seed=0,
                     predict_fn=None) -> RobustnessReport:
     """Error rates under every corruption at severities 1..5, plus the clean run.
 
-    Each cell corrupts the evaluation images with its own fixed seed, so
-    results do not depend on scheduling; the thread pool only adds overlap.
+    The cells run serially, kind by kind in ``CORRUPTIONS`` order and
+    severity 1..5 within a kind; each corrupts the evaluation images with
+    its own fixed seed, ``seed + 131 * kind index + severity``.
     ``predict_fn`` swaps the model out for any images->labels callable, which
     lets the harness score reference classifiers (``model`` may be None then).
     """
@@ -262,26 +240,15 @@ def robustness_eval(model: Model, ds: Dataset, batch_size=64, seed=0,
         labels = np.array([d.label for d in decisions], dtype=np.int64)
         return 1.0 - float((labels == ds.labels).mean())
 
-    def run_cell(cell):
-        kind, severity = cell
-        imgs = corrupt(ds.images, kind, severity,
-                       seed=seed + 131 * CORRUPTIONS.index(kind) + severity)
-        return cell, error_on(imgs)
-
     clean = error_on(ds.images)
-    cells = [(k, s) for k in CORRUPTIONS for s in range(1, 6)]
-    results = {}
-    workers = thread_count()
-    if workers == 1:
-        for cell in cells:
-            key, err = run_cell(cell)
-            results[key] = err
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, err in pool.map(run_cell, cells):
-                results[key] = err
-    mce = float(np.mean([results[c] for c in cells]))
-    return RobustnessReport(clean_error=clean, cells=results, mce=mce)
+    cells = {}
+    for i, kind in enumerate(CORRUPTIONS):
+        for severity in range(1, 6):
+            imgs = corrupt(ds.images, kind, severity,
+                           seed=seed + 131 * i + severity)
+            cells[(kind, severity)] = error_on(imgs)
+    mce = float(np.mean(list(cells.values())))
+    return RobustnessReport(clean_error=clean, cells=cells, mce=mce)
 
 
 def write_robustness_csv(path, report: RobustnessReport):

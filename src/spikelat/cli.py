@@ -160,27 +160,31 @@ def cmd_analyze(args, cfg: Config) -> int:
     ds = _eval_dataset(cfg)
     spec = _model_spec(cfg, ds)
     model = load_checkpoint(args.checkpoint, spec, seed=cfg["model.seed"])
-    out = Path(args.out) if args.out else Path(args.checkpoint).parent
-    out.mkdir(parents=True, exist_ok=True)
 
+    # Every report is computed before anything is printed or written, so a
+    # run that fails leaves no partial report directory behind.
     batch = min(cfg["analyze.batch"], len(ds))
     rec = model.forward(Tensor(ds.images[:batch]), training=False)
     energy = model_energy(model, rec)
+    sims = {name: temporal_similarity(frames)
+            for name, frames in rec.stage_spikes.items()}
+    rob = None
+    if cfg["analyze.robustness"]:
+        rob = robustness_eval(model, ds, batch_size=cfg["analyze.batch"],
+                              seed=cfg["analyze.seed"])
+
+    out = Path(args.out) if args.out else Path(args.checkpoint).parent
+    out.mkdir(parents=True, exist_ok=True)
     write_energy_csv(out / "energy.csv", energy)
     print(f"energy_ann_pj {energy.ann_pj:.10g}")
     print(f"energy_snn_pj {energy.snn_pj:.10g}")
     print(f"energy_ratio {energy.ratio:.10g}")
-
-    for name, frames in rec.stage_spikes.items():
-        sim = temporal_similarity(frames)
+    for name, sim in sims.items():
         write_similarity_csv(out / f"similarity_{name}.csv", sim)
         if name == "enc":
             write_similarity_gnuplot(out / "similarity_enc.dat",
                                      out / "similarity_enc.gp", sim)
-
-    if cfg["analyze.robustness"]:
-        rob = robustness_eval(model, ds, batch_size=cfg["analyze.batch"],
-                              seed=cfg["analyze.seed"])
+    if rob is not None:
         write_robustness_csv(out / "robustness.csv", rob)
         write_robustness_gnuplot(out / "robustness.dat",
                                  out / "robustness.gp", rob)

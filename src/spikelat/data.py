@@ -7,11 +7,12 @@ label vectors) so externally produced files drop in directly.
 
 Two generator families cover desk-scale experiments: ``synth_blobs`` puts a
 bright Gaussian bump at a class-specific position around a circle, and
-``synth_digits`` renders ten fixed glyphs with jitter and pixel noise.
-Both are fully determined by their seed.
+``synth_digits`` renders ten fixed glyphs with one-pixel jitter and pixel
+noise. Both are fully determined by their seed.
 
-``corrupt`` applies one of five parametric image corruptions at severities
-0 (identity) through 5, for robustness sweeps.
+``corrupt`` applies one of five image corruptions at severities 0
+(identity) through 5, each severity with one fixed strength, for
+robustness sweeps.
 """
 from __future__ import annotations
 
@@ -127,19 +128,19 @@ def save_idx(ds: Dataset, images_path, labels_path):
 
 
 def synth_blobs(n, classes, size=8, noise=0.10, jitter=0.5, label_noise=0.0,
-                seed=0, layout_seed=0) -> Dataset:
+                seed=0) -> Dataset:
     """Bright Gaussian bumps at class-specific spots around a circle.
 
     ``seed`` drives the sample draw only; the circle's phase (where the
-    classes sit) comes from ``layout_seed``, so train and eval splits made
-    with different seeds still describe the same task. ``jitter`` smears
+    classes sit) is drawn from a fixed seed of 0, so train and eval splits
+    made with different seeds still describe the same task. ``jitter`` smears
     each sample's bump position; ``label_noise`` reassigns that fraction of
     labels uniformly at random.
     """
     if classes < 2 or classes > 12:
         raise ContractError("synth_blobs supports 2..12 classes")
     rng = seeded_rng("seed", seed, count=n, noise=noise, jitter=jitter)
-    phase = np.random.default_rng(layout_seed).uniform(0, 2 * np.pi)
+    phase = np.random.default_rng(0).uniform(0, 2 * np.pi)
     center = (size - 1) / 2.0
     radius = size * 0.28
     angles = phase + 2 * np.pi * np.arange(classes) / classes
@@ -183,11 +184,11 @@ def _glyph_bitmap(d):
     return np.array([[float(ch) for ch in row] for row in rows])
 
 
-def synth_digits(n, size=16, jitter=1, noise=0.08, seed=0) -> Dataset:
-    """Ten fixed digit glyphs, upscaled with position jitter and noise."""
+def synth_digits(n, size=16, noise=0.08, seed=0) -> Dataset:
+    """Ten fixed digit glyphs, upscaled, shifted by up to one pixel, noised."""
     if size < 16:
         raise ContractError("synth_digits needs size >= 16")
-    rng = seeded_rng("seed", seed, count=n, noise=noise, jitter=jitter)
+    rng = seeded_rng("seed", seed, count=n, noise=noise)
     labels = rng.integers(0, 10, size=n)
     stamps = [np.kron(_glyph_bitmap(d), np.ones((2, 2))) for d in range(10)]
     gh, gw = stamps[0].shape
@@ -195,8 +196,8 @@ def synth_digits(n, size=16, jitter=1, noise=0.08, seed=0) -> Dataset:
     base_x = (size - gw) // 2
     images = np.zeros((n, 1, size, size))
     for i, k in enumerate(labels):
-        dy = int(rng.integers(-jitter, jitter + 1)) if jitter else 0
-        dx = int(rng.integers(-jitter, jitter + 1)) if jitter else 0
+        dy = int(rng.integers(-1, 2))
+        dx = int(rng.integers(-1, 2))
         y, x = base_y + dy, base_x + dx
         amp = rng.uniform(0.85, 1.0)
         images[i, 0, y : y + gh, x : x + gw] = amp * stamps[k]
@@ -208,20 +209,12 @@ def synth_digits(n, size=16, jitter=1, noise=0.08, seed=0) -> Dataset:
 
 CORRUPTIONS = ("gaussian", "shot", "brightness", "contrast", "pixelate")
 
-CORRUPTION_DEFAULTS = {
-    "gaussian": {"scale": 0.05},
-    "shot": {"photons": 60.0},
-    "brightness": {"shift": 0.09},
-    "contrast": {"loss": 0.15},
-    "pixelate": {"blocks": (2, 2, 4, 4, 8)},
-}
-
-
-def corrupt(images, kind, severity, seed=0, **params):
+def corrupt(images, kind, severity, seed=0):
     """Apply one corruption at the given severity; 0 returns a clean copy.
 
-    Keyword arguments override the per-kind defaults (for example
-    ``scale=`` for gaussian noise strength).
+    Every kind has one fixed strength per severity s: gaussian noise of
+    scale 0.05 s, shot noise at 60 / s photons, brightness +0.09 s,
+    contrast times 1 - 0.15 s, and pixelate blocks of 2, 2, 4, 4, 8.
     """
     if kind not in CORRUPTIONS:
         raise ContractError(f"unknown corruption {kind!r}, expected {CORRUPTIONS}")
@@ -230,27 +223,19 @@ def corrupt(images, kind, severity, seed=0, **params):
     x = np.asarray(images, dtype=np.float64)
     if severity == 0:
         return x.copy()
-    p = dict(CORRUPTION_DEFAULTS[kind])
-    unknown = set(params) - set(p)
-    if unknown:
-        raise ContractError(f"{kind} does not take parameters {sorted(unknown)}")
-    p.update(params)
     rng = seeded_rng("corruption seed", seed)
 
     if kind == "gaussian":
-        out = x + rng.normal(scale=p["scale"] * severity, size=x.shape)
+        out = x + rng.normal(scale=0.05 * severity, size=x.shape)
     elif kind == "shot":
-        lam = p["photons"] / severity
+        lam = 60.0 / severity
         out = rng.poisson(np.clip(x, 0, 1) * lam) / lam
     elif kind == "brightness":
-        out = x + p["shift"] * severity
+        out = x + 0.09 * severity
     elif kind == "contrast":
-        factor = 1.0 - p["loss"] * severity
-        if factor <= 0:
-            raise ContractError("contrast loss reaches zero at this severity")
-        out = 0.5 + (x - 0.5) * factor
+        out = 0.5 + (x - 0.5) * (1.0 - 0.15 * severity)
     else:  # pixelate
-        block = int(p["blocks"][severity - 1])
+        block = (2, 2, 4, 4, 8)[severity - 1]
         h, w = x.shape[-2:]
         if h % block or w % block:
             raise ContractError(f"pixelate block {block} does not divide {h}x{w}")

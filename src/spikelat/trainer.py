@@ -31,16 +31,13 @@ from .network import Model, ModelSpec, build_model
 class AdamW:
     """Adam with the weight-decay step applied outside the moment update."""
 
-    def __init__(self, params, lr=0.001, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.01):
-        if lr <= 0 or eps <= 0:
-            raise ContractError("lr and eps must be positive")
-        if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
-            raise ContractError("betas must lie in [0, 1)")
+    b1, b2, eps = 0.9, 0.999, 1e-8    # Adam's usual moment decays and floor
+
+    def __init__(self, params, lr=0.001, weight_decay=0.01):
+        if lr <= 0:
+            raise ContractError("lr must be positive")
         self.params = [t for _, t in params]
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]

@@ -14,7 +14,6 @@ from spikelat.analysis import (
     normalized_energy,
     robustness_eval,
     temporal_similarity,
-    thread_count,
     write_energy_csv,
     write_robustness_csv,
     write_similarity_csv,
@@ -85,8 +84,6 @@ class TestNormalizedEnergy:
             rtol=1e-12)
 
     def test_explicit_shares_and_errors(self):
-        got = normalized_energy(2, 10, 4, 20, platform=(0.5, 0.5))
-        np.testing.assert_allclose(got, 0.5 * 0.5 + 0.5 * 0.5, rtol=1e-12)
         with pytest.raises(ContractError):
             normalized_energy(1, 1, 1, 1, platform="loihi")
         with pytest.raises(ContractError):
@@ -246,25 +243,6 @@ class TestRobustness:
         b = robustness_eval(self.model, self.ds, batch_size=32, seed=2)
         assert a.cells == b.cells
         assert a.mce == b.mce
-
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        monkeypatch.delenv("SPIKELAT_THREADS", raising=False)
-        serial = robustness_eval(self.model, self.ds, batch_size=32, seed=3)
-        monkeypatch.setenv("SPIKELAT_THREADS", "3")
-        threaded = robustness_eval(self.model, self.ds, batch_size=32, seed=3)
-        assert serial.cells == threaded.cells
-
-    def test_thread_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("SPIKELAT_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("SPIKELAT_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("SPIKELAT_THREADS", "zero")
-        with pytest.raises(ContractError):
-            thread_count()
-        monkeypatch.setenv("SPIKELAT_THREADS", "0")
-        with pytest.raises(ContractError):
-            thread_count()
 
     def test_predict_fn_replaces_model(self):
         # A constant predictor is immune to corruption, so every cell's

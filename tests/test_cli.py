@@ -210,7 +210,12 @@ class TestErrorPaths:
         extra = [arg for kv in settings.split() for arg in ("--set", kv)]
         capsys.readouterr()
         assert main(args + fast_args(extra)) == 3
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        if command == "analyze":
+            # a failing analyze prints no report line and writes no file
+            assert captured.out == ""
+            assert not (tmp_path / "reports").exists()
 
     def test_bad_set_key_is_usage_error(self, capsys):
         code = main(["train", "--set", "zzz=1"])

@@ -123,13 +123,6 @@ class TestSynthBlobs:
         d = ((flat[:, None, :] - cents.reshape(4, -1)[None]) ** 2).sum(axis=2)
         assert (d.argmin(axis=1) == other.labels).mean() > 0.9
 
-    def test_layout_seed_moves_the_classes(self):
-        a = synth_blobs(200, classes=4, seed=0, layout_seed=1)
-        b = synth_blobs(200, classes=4, seed=0, layout_seed=2)
-        ca = np.stack([a.images[a.labels == k].mean(axis=0) for k in range(4)])
-        cb = np.stack([b.images[b.labels == k].mean(axis=0) for k in range(4)])
-        assert not np.allclose(ca, cb, atol=0.05)
-
     def test_label_noise_flips_labels(self):
         clean = synth_blobs(400, classes=4, seed=1, label_noise=0.0)
         noisy = synth_blobs(400, classes=4, seed=1, label_noise=0.3)
@@ -198,18 +191,46 @@ class TestCorruptions:
         block = out[0, 0, :8, :8]
         assert np.allclose(block, block[0, 0])
 
-    def test_brightness_parameter_override(self):
-        mild = corrupt(self.x, "brightness", 1, shift=0.01)
-        harsh = corrupt(self.x, "brightness", 1, shift=0.3)
-        assert harsh.mean() > mild.mean()
+    # Worked values: each restates its kind's formula with the literal
+    # constants, so a mistyped constant in corrupt fails exactly here.
+
+    def test_gaussian_scale_is_0_05_per_severity(self):
+        for s in range(1, 6):
+            noise = np.random.default_rng(4).normal(scale=0.05 * s,
+                                                    size=self.x.shape)
+            np.testing.assert_array_equal(corrupt(self.x, "gaussian", s, seed=4),
+                                          np.clip(self.x + noise, 0.0, 1.0))
+
+    def test_shot_draws_60_over_severity_photons(self):
+        for s in range(1, 6):
+            lam = 60.0 / s
+            counts = np.random.default_rng(4).poisson(self.x * lam)
+            np.testing.assert_array_equal(corrupt(self.x, "shot", s, seed=4),
+                                          np.clip(counts / lam, 0.0, 1.0))
+
+    def test_brightness_adds_0_09_per_severity(self):
+        for s in range(1, 6):
+            np.testing.assert_array_equal(corrupt(self.x, "brightness", s),
+                                          np.clip(self.x + 0.09 * s, 0.0, 1.0))
+
+    def test_contrast_scales_by_1_minus_0_15_per_severity(self):
+        for s in range(1, 6):
+            want = 0.5 + (self.x - 0.5) * (1.0 - 0.15 * s)
+            np.testing.assert_array_equal(corrupt(self.x, "contrast", s),
+                                          np.clip(want, 0.0, 1.0))
+
+    def test_pixelate_blocks_are_2_2_4_4_8(self):
+        n, c, h, w = self.x.shape
+        for s, b in zip(range(1, 6), (2, 2, 4, 4, 8)):
+            means = self.x.reshape(n, c, h // b, b, w // b, b).mean(axis=(3, 5))
+            want = np.repeat(np.repeat(means, b, axis=2), b, axis=3)
+            np.testing.assert_array_equal(corrupt(self.x, "pixelate", s), want)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ContractError):
             corrupt(self.x, "rain", 1)
         with pytest.raises(ContractError):
             corrupt(self.x, "gaussian", 6)
-        with pytest.raises(ContractError):
-            corrupt(self.x, "gaussian", 1, sigma=0.2)
 
 
 class TestBatches:
