@@ -2,8 +2,9 @@
 
 A ``Tensor`` is both the value carrier and a node of a define-by-run tape:
 it remembers its parents and a closure that routes the upstream gradient to
-them. Calling :meth:`Tensor.backward` on a scalar walks the tape in reverse
-topological order and accumulates gradients into every reachable node,
+them. A node is always made after its parents, so its ``id`` orders the
+tape: :meth:`Tensor.backward` on a scalar runs the reachable nodes in
+reverse creation order and accumulates gradients into every one of them,
 including every use of a shared weight.
 
 The graph is rebuilt on every forward pass; nothing is cached between runs.
@@ -26,7 +27,8 @@ class Tensor:
 
     Leaf tensors have no parents. Operation results carry a ``_backward``
     closure which, given the node's accumulated gradient, adds each parent's
-    share to that parent's ``grad``.
+    share to that parent's ``grad``. A node's parents are older than the
+    node: ``id`` is drawn at construction, after the parents exist.
     """
 
     __slots__ = ("id", "data", "grad", "parents", "op", "_backward", "__weakref__")
@@ -74,50 +76,32 @@ class Tensor:
         """A leaf tensor sharing this node's values; gradients stop here."""
         return Tensor(self.data, op="detach")
 
-    # -- graph traversal ---------------------------------------------------
-
-    def _topo_order(self):
-        """Parents-first order of all reachable nodes; detects cycles.
-
-        Iterative DFS: unrolled graphs can exceed the interpreter's
-        recursion limit.
-        """
-        order = []
-        state = {}  # id -> 1 while on stack, 2 when done
-        stack = [(self, iter(self.parents))]
-        state[self.id] = 1
-        while stack:
-            node, parents = stack[-1]
-            advanced = False
-            for p in parents:
-                s = state.get(p.id)
-                if s == 1:
-                    raise GraphError("cycle detected in computation graph")
-                if s is None:
-                    state[p.id] = 1
-                    stack.append((p, iter(p.parents)))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node.id] = 2
-                order.append(node)
-                stack.pop()
-        return order
-
     def backward(self):
         """Reverse accumulation from this scalar node.
 
-        Seeds the root gradient with 1 and sums each node's contributions
-        into its parents. Gradients of leaves already holding a gradient are
-        added to, so per-sample runs can be summed externally.
+        Seeds the root gradient with 1 and runs every reachable node's
+        ``_backward`` in reverse creation order (decreasing ``id``), which is
+        topological because parents are older; a parent that is not older
+        raises ``GraphError``. Leaves already holding a gradient are added
+        to, so per-sample runs can be summed externally.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar root, got shape {self.data.shape}"
             )
-        order = self._topo_order()
+        nodes, stack = {self.id: self}, [self]
+        while stack:
+            node = stack.pop()
+            for p in node.parents:
+                if p.id >= node.id:
+                    raise GraphError(f"op '{node.op}' has a parent made after it"
+                                     " (a cycle or a rewired graph)")
+                if p.id not in nodes:
+                    nodes[p.id] = p
+                    stack.append(p)
         self.accumulate(np.ones_like(self.data))
-        for node in reversed(order):
+        for i in sorted(nodes, reverse=True):
+            node = nodes[i]
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 

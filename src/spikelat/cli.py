@@ -87,12 +87,6 @@ def _eval_dataset(cfg: Config):
 
 
 def _model_spec(cfg: Config, ds):
-    lif = LifConfig(
-        tau_leak=cfg["lif.tau_leak"],
-        v_th=cfg["lif.v_th"],
-        surrogate_width=cfg["lif.surrogate_width"],
-        detach_reset=cfg["lif.detach_reset"],
-    )
     return preset_spec(
         cfg["model.preset"],
         input_shape=tuple(ds.images.shape[1:]),
@@ -101,7 +95,7 @@ def _model_spec(cfg: Config, ds):
         hidden=cfg["model.hidden"],
         width=cfg["model.width"],
         encoder_channels=cfg["model.encoder_channels"],
-        lif=lif,
+        lif=LifConfig(**cfg.section("lif")),
     )
 
 
@@ -114,16 +108,7 @@ def cmd_train(args, cfg: Config) -> int:
     train_ds, eval_ds = _train_datasets(cfg)
     spec = _model_spec(cfg, train_ds)
     model = build_model(spec, seed=cfg["model.seed"])
-    tcfg = TrainConfig(
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        lr=cfg["train.lr"],
-        weight_decay=cfg["train.weight_decay"],
-        loss=cfg["train.loss"],
-        tau=cfg["train.tau"],
-        detach_weights=cfg["train.detach_weights"],
-        seed=cfg["train.seed"],
-    )
+    tcfg = TrainConfig(**cfg.section("train"))
     out = Path(args.out) if args.out else _default_run_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(snapshot(cfg))

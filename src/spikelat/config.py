@@ -1,18 +1,25 @@
 """Flat key=value configuration with a typed registry.
 
 Every tunable lives in one registry of dotted keys with a type, a default,
-and optionally a closed set of choices. A config file is plain text, one
-``key = value`` pair per line, with ``#`` comments; parse errors carry the
-line number. Unknown keys are rejected everywhere, including command-line
-overrides. ``snapshot`` renders the fully resolved configuration back into
-the same format, sorted, so a run directory records exactly what ran and
-the file round-trips to an equal configuration.
+and optionally a closed set of choices. The ``lif.*`` and ``train.*`` keys
+are the fields of ``LifConfig`` and ``TrainConfig``, typed by their
+defaults, and each choice list is the tuple the code itself checks. A
+config file is plain text, one ``key = value`` pair per line, with ``#``
+comments; parse errors carry the line number. Unknown keys are rejected
+everywhere, including command-line overrides. ``snapshot`` renders the
+fully resolved configuration back into the same format, sorted, so a run
+directory records exactly what ran and the file round-trips to an equal
+configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .decoder import TIEBREAKS
 from .errors import FormatError
+from .lif import LifConfig
+from .network import PRESETS
+from .trainer import DECODE_MODES, LOSSES, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -21,6 +28,13 @@ class ConfigKey:
     type: type
     default: object
     choices: tuple = ()
+
+
+def _fields(prefix, cls, **choices):
+    """One key per dataclass field, typed by its default; choices by field name."""
+    return [ConfigKey(f"{prefix}.{f.name}", type(f.default), f.default,
+                      choices.get(f.name, ()))
+            for f in fields(cls)]
 
 
 REGISTRY = [
@@ -37,28 +51,17 @@ REGISTRY = [
     ConfigKey("data.jitter", float, 0.5),
     ConfigKey("data.label_noise", float, 0.0),
     ConfigKey("data.seed", int, 0),
-    ConfigKey("model.preset", str, "mlp-mini",
-              ("mlp-mini", "vgg-mini", "sew-mini")),
+    ConfigKey("model.preset", str, "mlp-mini", PRESETS),
     ConfigKey("model.timesteps", int, 8),
     ConfigKey("model.hidden", int, 128),
     ConfigKey("model.width", int, 8),
     ConfigKey("model.encoder_channels", int, 2),
     ConfigKey("model.seed", int, 0),
-    ConfigKey("lif.tau_leak", float, 0.5),
-    ConfigKey("lif.v_th", float, 1.0),
-    ConfigKey("lif.surrogate_width", float, 1.0),
-    ConfigKey("lif.detach_reset", bool, False),
-    ConfigKey("train.epochs", int, 5),
-    ConfigKey("train.batch_size", int, 64),
-    ConfigKey("train.lr", float, 0.001),
-    ConfigKey("train.weight_decay", float, 0.01),
-    ConfigKey("train.loss", str, "tad", ("tad", "vanilla")),
-    ConfigKey("train.tau", float, 2.0),
-    ConfigKey("train.detach_weights", bool, True),
-    ConfigKey("train.seed", int, 0),
+    *_fields("lif", LifConfig),
+    *_fields("train", TrainConfig, loss=LOSSES),
     # accepted so older snapshots still load; no effect (decoder.py says why)
-    ConfigKey("decode.tiebreak", str, "spikers", ("spikers", "all")),
-    ConfigKey("decode.mode", str, "first", ("first", "rate")),
+    ConfigKey("decode.tiebreak", str, "spikers", TIEBREAKS),
+    ConfigKey("decode.mode", str, "first", DECODE_MODES),
     ConfigKey("analyze.batch", int, 64),
     ConfigKey("analyze.robustness", bool, True),
     ConfigKey("analyze.seed", int, 0),
@@ -122,6 +125,11 @@ class Config:
 
     def items(self):
         return sorted(self._values.items())
+
+    def section(self, prefix):
+        """The ``prefix.*`` values keyed by the rest of their names."""
+        return {name[len(prefix) + 1:]: value for name, value in self._values.items()
+                if name.startswith(prefix + ".")}
 
 
 def _parse_pairs(text, where_prefix):

@@ -21,7 +21,7 @@ as the per-step logits for the loss; its spikes drive first-spike decoding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,11 @@ from .lif import LifConfig, lif_unroll
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One layer of a ModelSpec; every conv is 3x3, stride 1, same padding, every pool 2x2."""
+
     kind: str          # conv | sew | pool | flatten | linear
     out: int = 0       # channels (conv/sew) or units (linear)
-    kernel: int = 3
-    stride: int = 1
-    pad: int = 1
-    pool: int = 2
+    kernel, stride, pad, pool = 3, 1, 1, 2
 
     def __post_init__(self):
         if self.kind not in ("conv", "sew", "pool", "flatten", "linear"):
@@ -91,10 +90,10 @@ def preset_spec(name, input_shape, classes, timesteps=8, hidden=128,
         sew = (LayerSpec("sew", out=2 * width),) if name == "sew-mini" else ()
         layers = (
             LayerSpec("conv", out=width),
-            LayerSpec("pool", pool=2),
+            LayerSpec("pool"),
             LayerSpec("conv", out=2 * width),
             *sew,
-            LayerSpec("pool", pool=2),
+            LayerSpec("pool"),
             LayerSpec("flatten"),
         )
     else:
@@ -200,11 +199,11 @@ class ConvStage(Stage):
         self.beta = Tensor(np.zeros(layer.out))
         self.running_mean = np.zeros(layer.out)
         self.running_var = np.ones(layer.out)
-        self.stride, self.pad, self.lif = layer.stride, layer.pad, lif
+        self.lif = lif
 
     def drive(self, frames, training):
         """Conv then batch norm of (N, ...) images or (T, N, ...) frames."""
-        h = conv2d(frames, self.k, stride=self.stride, pad=self.pad)
+        h = conv2d(frames, self.k, stride=LayerSpec.stride, pad=LayerSpec.pad)
         return batchnorm2d(h, self.gamma, self.beta, self.running_mean,
                            self.running_var, training=training)
 
@@ -253,8 +252,7 @@ class SewStage(ConvStage):
     kind = "sew"
 
     def __init__(self, name, in_shape, layer, lif, rng):
-        super().__init__(name, in_shape,
-                         replace(layer, stride=1, pad=layer.kernel // 2), lif, rng)
+        super().__init__(name, in_shape, layer, lif, rng)
         if in_shape[0] != layer.out:
             raise SpecError(f"{name}: residual block needs matching channels, have {in_shape}")
 

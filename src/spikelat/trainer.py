@@ -16,7 +16,7 @@ from __future__ import annotations
 import ctypes
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -72,22 +72,32 @@ def cosine_lr(step, total_steps, lr0):
     return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 
+LOSSES = ("tad", "vanilla")
+DECODE_MODES = ("first", "rate")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
     batch_size: int = 64
     lr: float = 0.001
     weight_decay: float = 0.01
-    loss: str = "tad"            # "tad" | "vanilla"
+    loss: str = "tad"            # one of LOSSES
     tau: float = 2.0
     detach_weights: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss not in ("tad", "vanilla"):
+        if self.loss not in LOSSES:
             raise ContractError(f"loss must be 'tad' or 'vanilla', got {self.loss!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be >= 1")
+        if self.lr <= 0:
+            raise ContractError("lr must be positive")
+        if self.loss == "tad" and self.tau <= 0:
+            raise ContractError(f"tau must be positive, got {self.tau}")
+        if self.seed < 0:
+            raise ContractError(f"batch order seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -101,7 +111,7 @@ class EvalResult:
 
 def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first") -> EvalResult:
     """Run the model over a dataset in eval mode and score the decisions."""
-    if decode not in ("first", "rate"):
+    if decode not in DECODE_MODES:
         raise ContractError("decode must be 'first' or 'rate'")
     if len(ds) == 0:
         raise ContractError("evaluate needs at least one image")
@@ -268,18 +278,10 @@ def train(model: Model, train_ds: Dataset, eval_ds: Dataset,
     return history
 
 
-METRICS_HEADER = ("epoch,lr,train_loss,accuracy,mean_exit,sparsity,"
-                  "fallback_rate")
-
-
 def write_metrics_csv(path, history):
-    """Metrics table with stable formatting; identical runs give identical bytes."""
-    lines = [METRICS_HEADER]
-    for r in history:
-        lines.append(
-            f"{r.epoch},{r.lr:.10g},{r.train_loss:.10g},{r.accuracy:.10g},"
-            f"{r.mean_exit:.10g},{r.sparsity:.10g},{r.fallback_rate:.10g}"
-        )
+    """One column per ``EpochRow`` field, every value ``.10g``: stable bytes."""
+    lines = [",".join(f.name for f in fields(EpochRow))]
+    lines += [",".join(f"{v:.10g}" for v in astuple(r)) for r in history]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -368,6 +368,15 @@ class TestErrorHandling:
         with pytest.raises(GraphError):
             b.sum().backward()
 
+    def test_parent_made_after_its_child_rejected(self):
+        # no cycle, but b's closure still routes its gradient to a, not c
+        a = Tensor([1.0])
+        b = a * 2.0
+        c = Tensor([3.0])
+        b.parents = (c,)
+        with pytest.raises(GraphError):
+            b.sum().backward()
+
     def test_deep_chain_does_not_hit_recursion_limit(self):
         x = Tensor([1.0])
         y = x

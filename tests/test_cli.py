@@ -190,6 +190,9 @@ class TestErrorPaths:
         ("train", "data.seed=-1", "seed must be >= 0, got -1"),
         ("train", "model.seed=-1", "model seed must be >= 0, got -1"),
         ("train", "train.seed=-2", "batch order seed must be >= 0"),
+        ("train", "train.seed=-1", "batch order seed must be >= 0, got -1"),
+        ("train", "train.lr=0", "lr must be positive"),
+        ("train", "train.tau=0", "tau must be positive, got 0.0"),
         ("analyze", "analyze.seed=-1000", "corruption seed must be >= 0"),
         ("train", "model.hidden=0", "linear layer needs out >= 1, got 0"),
         ("train", "model.preset=vgg-mini model.width=0",
@@ -212,6 +215,9 @@ class TestErrorPaths:
         assert main(args + fast_args(extra)) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
+        if command == "train":
+            # every setting is checked before the run directory is made
+            assert not (tmp_path / "run").exists()
         if command == "analyze":
             # a failing analyze prints no report line and writes no file
             assert captured.out == ""

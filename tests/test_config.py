@@ -113,3 +113,60 @@ class TestSnapshot:
         assert keys == sorted(keys)
         assert "train.lr = 0.001" in lines
         assert "train.detach_weights = true" in lines
+
+
+class TestPinnedRegistry:
+    """The registry's keys, defaults and choice lists, written out once by hand."""
+
+    DEFAULTS = (
+        "analyze.batch = 64",
+        "analyze.robustness = true",
+        "analyze.seed = 0",
+        "data.classes = 4",
+        "data.eval_count = 128",
+        "data.eval_images = ",
+        "data.eval_labels = ",
+        "data.jitter = 0.5",
+        "data.label_noise = 0.0",
+        "data.noise = 0.1",
+        "data.seed = 0",
+        "data.size = 8",
+        "data.source = blobs",
+        "data.train_count = 512",
+        "data.train_images = ",
+        "data.train_labels = ",
+        "decode.mode = first",
+        "decode.tiebreak = spikers",
+        "lif.detach_reset = false",
+        "lif.surrogate_width = 1.0",
+        "lif.tau_leak = 0.5",
+        "lif.v_th = 1.0",
+        "model.encoder_channels = 2",
+        "model.hidden = 128",
+        "model.preset = mlp-mini",
+        "model.seed = 0",
+        "model.timesteps = 8",
+        "model.width = 8",
+        "train.batch_size = 64",
+        "train.detach_weights = true",
+        "train.epochs = 5",
+        "train.loss = tad",
+        "train.lr = 0.001",
+        "train.seed = 0",
+        "train.tau = 2.0",
+        "train.weight_decay = 0.01",
+    )
+
+    def test_default_snapshot(self):
+        assert snapshot(load_config()) == "\n".join(self.DEFAULTS) + "\n"
+
+    @pytest.mark.parametrize("key, choices", [
+        ("model.preset", "['mlp-mini', 'vgg-mini', 'sew-mini']"),
+        ("train.loss", "['tad', 'vanilla']"),
+        ("decode.tiebreak", "['spikers', 'all']"),
+        ("decode.mode", "['first', 'rate']"),
+    ])
+    def test_choice_error_lists_the_choices_in_order(self, key, choices):
+        with pytest.raises(FormatError) as e:
+            load_config(overrides=[f"{key}=zz"])
+        assert str(e.value) == f"--set #1: {key} must be one of {choices}, got 'zz'"

@@ -49,7 +49,7 @@ class TestSpecs:
             build_model(spec)
 
     def test_unpoolable_shape_rejected(self):
-        spec = ModelSpec("x", (1, 7, 7), 4, 4, 2, (LayerSpec("pool", pool=2),))
+        spec = ModelSpec("x", (1, 7, 7), 4, 4, 2, (LayerSpec("pool"),))
         with pytest.raises(SpecError):
             build_model(spec)
 
@@ -195,7 +195,7 @@ class TestForward:
 
         mean, var = mean0.copy(), var0.copy()
         for x in frames:
-            h = conv2d(Tensor(x), stage.k, stride=stage.stride, pad=stage.pad)
+            h = conv2d(Tensor(x), stage.k, stride=LayerSpec.stride, pad=LayerSpec.pad)
             batchnorm2d(h, stage.gamma, stage.beta, mean, var, training=True)
         assert np.array_equal(stage.running_mean, mean)
         assert np.array_equal(stage.running_var, var)

@@ -316,6 +316,13 @@ class TestTrainLoop:
             TrainConfig(loss="hinge")
         with pytest.raises(ContractError):
             TrainConfig(epochs=0)
+        with pytest.raises(ContractError, match="lr must be positive"):
+            TrainConfig(lr=0.0)
+        with pytest.raises(ContractError, match="tau must be positive, got 0.0"):
+            TrainConfig(tau=0.0)
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        TrainConfig(loss="vanilla", tau=0.0)    # the vanilla loss never reads tau
 
 
 class TestEvaluate:
