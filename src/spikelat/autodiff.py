@@ -8,8 +8,16 @@ reverse creation order and accumulates gradients into every one of them,
 including every use of a shared weight.
 
 The graph is rebuilt on every forward pass; nothing is cached between runs.
-All arithmetic is in 64-bit floats. Producing NaN or Inf anywhere is treated
-as an error state and raises :class:`~spikelat.errors.NumericsError`.
+All arithmetic is in 64-bit floats. NaN and Inf are an error state that
+raises :class:`~spikelat.errors.NumericsError`, but op results are not
+scanned one by one: a leaf (images, parameters, ``detach``) is checked when
+it is made, and the model checks one array per stage and the loss with
+:func:`check_finite`. NaN and Inf propagate through the arithmetic between
+those checks, so each still sees them.
+
+``conv2d`` is stride-1 only. Its input gradient is the same chunked
+shift-GEMM as its forward pass, run on the upstream gradient with the
+flipped, channel-transposed kernel.
 """
 from __future__ import annotations
 
@@ -36,8 +44,8 @@ class Tensor:
     def __init__(self, data, parents=(), op="leaf", backward=None):
         self.id = next(_ids)
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
-            raise NumericsError(f"non-finite values produced by op '{op}'")
+        if not parents and not np.isfinite(self.data).all():
+            raise NumericsError(f"non-finite values in a {op} tensor")
         self.grad = None
         self.parents = tuple(parents)
         self.op = op
@@ -61,11 +69,16 @@ class Tensor:
     def __len__(self):
         return len(self.data)
 
-    def accumulate(self, g):
-        """Add ``g`` into the gradient; a first write copies it (no zero fill, no alias)."""
+    def accumulate(self, g, fresh=False):
+        """Add ``g`` into the gradient. A first write copies it (no zero fill,
+        no alias), unless ``fresh`` says the caller allocated ``g`` for this
+        node alone, with this node's shape: then it is kept as it is."""
         if self.grad is None:
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
+            if fresh:
+                self.grad = g
+            else:
+                self.grad = np.empty_like(self.data)
+                self.grad[...] = g
         else:
             self.grad += g
 
@@ -199,6 +212,14 @@ def _same_shape(a: Tensor, b: Tensor, op: str):
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
+def check_finite(t: Tensor, where: str) -> Tensor:
+    """``t`` itself, once its values are known to hold no NaN or Inf;
+    otherwise a ``NumericsError`` naming ``where`` and the op that made ``t``."""
+    if not np.isfinite(t.data).all():
+        raise NumericsError(f"non-finite values in {where} (op '{t.op}')")
+    return t
+
+
 def stack(tensors) -> Tensor:
     """Stack same-shape tensors along a new axis 0."""
     tensors = list(tensors)
@@ -237,7 +258,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, x=x, w=w, b=b, x2=x2):
         g2 = g.reshape(x2.shape[0], -1)
-        x.accumulate((g2 @ w.data.T).reshape(x.shape))
+        x.accumulate((g2 @ w.data.T).reshape(x.shape), fresh=True)
         w.accumulate(x2.T @ g2)
         b.accumulate(g2.sum(axis=0))
 
@@ -245,12 +266,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _conv_geometry(H, W, K, stride, pad):
+def _conv_geometry(H, W, K, pad):
+    """Output (h, w) of a stride-1 K x K conv over an H x W input padded by ``pad``."""
     if K > H + 2 * pad or K > W + 2 * pad:
         raise ShapeError(f"kernel {K} larger than padded input ({H}+2*{pad})")
-    h_out = (H + 2 * pad - K) // stride + 1
-    w_out = (W + 2 * pad - K) // stride + 1
-    return h_out, w_out
+    return H + 2 * pad - K + 1, W + 2 * pad - K + 1
 
 
 _CHUNK_BYTES = 1 << 20   # patch matrix of one chunk of the folded batch: cache-sized
@@ -260,10 +280,10 @@ def _patches(xc, flat, cols, pad, offsets):
     """Shift-GEMM patch matrix (n, K*K*C, h_out*Wp) of a chunk xc (n,C,H,W).
 
     ``flat`` holds the zero-padded images with spare zero rows below, so
-    that kernel offset (i, j) is one strided slice of each flattened image:
-    it starts at i*Wp + j, steps by the stride and is h_out*Wp long. Rows
-    are ordered (offset, channel); grid columns >= w_out wrap into the next
-    image row and are scratch.
+    that kernel offset (i, j) is one slice of each flattened image: it
+    starts at i*Wp + j and is h_out*Wp long. Rows are ordered (offset,
+    channel); grid columns >= w_out wrap into the next image row and are
+    scratch.
     """
     n, _, H, W = xc.shape
     flat, cols = flat[:n], cols[:n]
@@ -274,14 +294,45 @@ def _patches(xc, flat, cols, pad, offsets):
     return cols.reshape(n, -1, cols.shape[-1])
 
 
-def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation of x (N,C,H,W) with kernels k (O,C,K,K); a
-    time-major x (T,N,C,H,W) runs once on its folded (T*N,C,H,W) view.
+def _patch_chunks(xs, K, pad):
+    """(chunk slice, patch matrix) over the batch of xs (N,C,H,W), in chunks
+    whose patch matrices are about ``_CHUNK_BYTES``, so each stays in cache."""
+    N, C, H, W = xs.shape
+    Wp = W + 2 * pad
+    L = (H + 2 * pad - K + 1) * Wp
+    offsets = [slice(s, s + L) for s in (i * Wp + j for i in range(K) for j in range(K))]
+    rows = max(H + 2 * pad, -(-offsets[-1].stop // Wp))
+    step = max(1, min(N, _CHUNK_BYTES // (C * K * K * L * 8)))
+    flat, cols = np.zeros((step, C, rows, Wp)), np.empty((step, K * K, C, L))
+    for a in range(0, N, step):
+        yield slice(a, a + step), _patches(xs[a : a + step], flat, cols, pad, offsets)
 
-    Forward and backward walk the batch in chunks whose patch matrices are
-    about ``_CHUNK_BYTES``, so each stays in cache; backward rebuilds a
-    chunk's patches instead of keeping them on the tape.
+
+def _correlate(xs, w2, K, pad):
+    """Stride-1 cross-correlation of xs (N,C,H,W) with the kernels in w2
+    (O, K*K*C), columns ordered (offset, channel): one GEMM per chunk."""
+    N, _, H, W = xs.shape
+    h_out, w_out = _conv_geometry(H, W, K, pad)
+    out = np.empty((N, len(w2), h_out, w_out))
+    for c, p in _patch_chunks(xs, K, pad):
+        grid = w2 @ p
+        out[c] = grid.reshape(-1, len(w2), h_out, W + 2 * pad)[..., :w_out]
+    return out
+
+
+def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """Stride-1 2-D cross-correlation of x (N,C,H,W) with kernels k
+    (O,C,K,K), zero padding ``pad`` <= K-1; a time-major x (T,N,C,H,W) runs
+    once on its folded (T*N,C,H,W) view.
+
+    Forward and backward walk the batch in cache-sized chunks and rebuild
+    each chunk's patches instead of keeping them on the tape. The input
+    gradient is the forward conv of the upstream gradient, padded by
+    K-1-pad, with the flipped, channel-transposed kernel (Dumoulin & Visin,
+    "A guide to convolution arithmetic for deep learning", 2016).
     """
+    if stride != 1:
+        raise ContractError(f"conv2d supports stride 1 only, got {stride}")
     if x.ndim not in (4, 5) or k.ndim != 4:
         raise ShapeError("conv2d expects x (N,C,H,W) or (T,N,C,H,W) and k (O,C,K,K)")
     C, H, W = x.shape[-3:]
@@ -290,45 +341,27 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeError("conv2d kernels must be square")
     if c_in != C:
         raise ShapeError(f"conv2d: input has {C} channels, kernel expects {c_in}")
-    h_out, w_out = _conv_geometry(H, W, K, stride, pad)
+    if pad > K - 1:
+        raise ShapeError(f"conv2d: pad {pad} exceeds kernel size - 1 ({K - 1})")
+    h_out, w_out = _conv_geometry(H, W, K, pad)
 
-    N = x.size // (C * H * W)
-    xs = x.data.reshape(N, C, H, W)
-    Wp = W + 2 * pad
-    L = h_out * Wp
-    offsets = [slice(s, s + stride * (L - 1) + 1, stride)
-               for s in (i * Wp + j for i in range(K) for j in range(K))]
-    rows = max(H + 2 * pad, -(-offsets[-1].stop // Wp))
-    step = max(1, min(N, _CHUNK_BYTES // (C * K * K * L * 8)))
-    chunks = [slice(a, a + step) for a in range(0, N, step)]
-    flat, cols = np.zeros((step, C, rows, Wp)), np.empty((step, K * K, C, L))
+    xs = x.data.reshape(-1, C, H, W)
     w2 = k.data.transpose(0, 2, 3, 1).reshape(c_out, K * K * C)
-    out_data = np.empty((N, c_out, h_out, w_out))
-    for c in chunks:
-        grid = w2 @ _patches(xs[c], flat, cols, pad, offsets)
-        out_data[c] = grid.reshape(-1, c_out, h_out, Wp)[..., :w_out]
+    out_data = _correlate(xs, w2, K, pad)
     out = Tensor(out_data.reshape(x.shape[:-3] + (c_out, h_out, w_out)), (x, k), "conv2d")
 
     def bw(g, x=x, k=k, xs=xs, w2=w2):
-        g = g.reshape(N, c_out, h_out, w_out)
-        dw, dx = np.zeros_like(w2), np.empty_like(xs)
-        flat, cols = np.zeros((step, C, rows, Wp)), np.empty((step, K * K, C, L))
-        grid = np.zeros((step, c_out, h_out, Wp))     # scratch columns stay 0
-        dflat = np.empty((step, C, rows * Wp))
-        for c in chunks:
-            p = _patches(xs[c], flat, cols, pad, offsets)
+        g = g.reshape(-1, c_out, h_out, w_out)
+        flipped = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, K * K * c_out)
+        x.accumulate(_correlate(g, flipped, K, K - 1 - pad).reshape(x.shape), fresh=True)
+        dw, grid = np.zeros_like(w2), None
+        for c, p in _patch_chunks(xs, K, pad):
             n = len(p)
+            if grid is None:    # the first chunk is the largest; scratch columns stay 0
+                grid = np.zeros((n, c_out, h_out, W + 2 * pad))
             grid[:n, ..., :w_out] = g[c]
-            g2 = grid[:n].reshape(n, c_out, L)
-            dw += (g2 @ p.transpose(0, 2, 1)).sum(axis=0)
-            dp = (w2.T @ g2).reshape(n, K * K, C, L)
-            d = dflat[:n]
-            d.fill(0.0)
-            for kk, o in enumerate(offsets):
-                d[:, :, o] += dp[:, kk]
-            dx[c] = d.reshape(n, C, rows, Wp)[:, :, pad : pad + H, pad : pad + W]
+            dw += (grid[:n].reshape(n, c_out, -1) @ p.transpose(0, 2, 1)).sum(axis=0)
         k.accumulate(dw.reshape(c_out, K, K, C).transpose(0, 3, 1, 2))
-        x.accumulate(dx.reshape(x.shape))
 
     out._backward = bw
     return out
@@ -392,7 +425,7 @@ def batchnorm2d(
             # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std
             dx -= d * (scale * inv_std**2 * sum_gd / m)[:, None, :, None, None]
             dx -= (scale * sum_g / m)[:, None, :, None, None]
-        x.accumulate(dx.reshape(x.shape))
+        x.accumulate(dx.reshape(x.shape), fresh=True)
 
     out._backward = bw
     return out
@@ -409,7 +442,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(s, (x,), "sigmoid")
 
     def bw(g, x=x, s=s):
-        x.accumulate(g * s * (1.0 - s))
+        x.accumulate(g * s * (1.0 - s), fresh=True)
 
     out._backward = bw
     return out
@@ -452,7 +485,7 @@ def avg_pool2d(x: Tensor, size: int) -> Tensor:
         g = g / len(offsets)
         for o in offsets:
             dx[o] = g
-        x.accumulate(dx)
+        x.accumulate(dx, fresh=True)
 
     out._backward = bw
     return out

@@ -6,13 +6,16 @@ are the fields of ``LifConfig`` and ``TrainConfig``, typed by their
 defaults, and each choice list is the tuple the code itself checks. A
 config file is plain text, one ``key = value`` pair per line, with ``#``
 comments; parse errors carry the line number. Unknown keys are rejected
-everywhere, including command-line overrides. ``snapshot`` renders the
-fully resolved configuration back into the same format, sorted, so a run
+everywhere, including command-line overrides, and so are float values
+that are not finite: every comparison with NaN is false, so a range check
+such as ``lr <= 0`` would let it through. ``snapshot`` renders the fully
+resolved configuration back into the same format, sorted, so a run
 directory records exactly what ran and the file round-trips to an equal
 configuration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .decoder import TIEBREAKS
@@ -99,6 +102,10 @@ def _convert(key: ConfigKey, raw: str, where: str):
             raise FormatError(
                 f"{where}: {key.name} expects a number, got {raw!r}"
             ) from None
+        if not math.isfinite(value):
+            raise FormatError(
+                f"{where}: {key.name} expects a finite number, got {raw!r}"
+            )
     else:
         value = raw
     if key.choices and value not in key.choices:

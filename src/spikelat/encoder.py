@@ -44,7 +44,7 @@ def latency_encode(features: Tensor, timesteps: int) -> Tensor:
     out = Tensor((t_s == steps).astype(np.float64), (features,), "latency_encode")
 
     def bw(g, f=features):
-        f.accumulate(g.sum(axis=0))
+        f.accumulate(g.sum(axis=0), fresh=True)
 
     out._backward = bw
     return out

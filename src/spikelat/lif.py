@@ -108,7 +108,7 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
                 d_u *= keep[t]
             d_drive[t] += d_u
             np.multiply(d_drive[t], tau, out=d_u)
-        currents.accumulate(d_drive)
+        currents.accumulate(d_drive, fresh=True)
 
     s._backward = bw
     return LifTrace(spikes=s, potentials=potentials, final=final)

@@ -128,7 +128,7 @@ def tad_loss(step_logits, labels, tau: float = 2.0,
         if not detach_weights:
             spread = ((ce - per_sample[:, None]) / tau).T[..., None]
             d += spread * _d_certainty(p, logp, ent)
-        o.accumulate((g * (1.0 / n) * w).T[..., None] * d)
+        o.accumulate((g * (1.0 / n) * w).T[..., None] * d, fresh=True)
 
     out._backward = bw
     return out

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, _conv_geometry, avg_pool2d, batchnorm2d, conv2d,
-                       linear, sigmoid)
+from .autodiff import (Tensor, _conv_geometry, avg_pool2d, batchnorm2d, check_finite,
+                       conv2d, linear, sigmoid)
 from .data import seeded_rng
 from .encoder import latency_encode
 from .errors import ShapeError, SpecError
@@ -190,7 +190,7 @@ class ConvStage(Stage):
         if len(in_shape) != 3:
             raise SpecError(f"{name}: conv needs a (C,H,W) input, have {in_shape}")
         ci, hi, wi = in_shape
-        ho, wo = _conv_geometry(hi, wi, layer.kernel, layer.stride, layer.pad)
+        ho, wo = _conv_geometry(hi, wi, layer.kernel, layer.pad)
         super().__init__(name, in_shape, (layer.out, ho, wo),
                          flops_conv(ho, wo, ci, layer.out, layer.kernel))
         self.k = Tensor(_kaiming(rng, (layer.out, ci, layer.kernel, layer.kernel),
@@ -202,10 +202,12 @@ class ConvStage(Stage):
         self.lif = lif
 
     def drive(self, frames, training):
-        """Conv then batch norm of (N, ...) images or (T, N, ...) frames."""
-        h = conv2d(frames, self.k, stride=LayerSpec.stride, pad=LayerSpec.pad)
-        return batchnorm2d(h, self.gamma, self.beta, self.running_mean,
-                           self.running_var, training=training)
+        """Conv then batch norm of (N, ...) images or (T, N, ...) frames,
+        checked for NaN and Inf: what follows a drive could hide them."""
+        h = conv2d(frames, self.k, pad=LayerSpec.pad)
+        h = batchnorm2d(h, self.gamma, self.beta, self.running_mean,
+                        self.running_var, training=training)
+        return check_finite(h, f"stage '{self.name}'")
 
     def unroll(self, frames, training, u0=None):
         trace = lif_unroll(self.drive(frames, training), self.lif, u0)
@@ -304,7 +306,8 @@ class LinearStage(Stage):
         self.lif = lif
 
     def unroll(self, frames, training, u0=None):
-        trace = lif_unroll(linear(frames, self.w, self.b), self.lif, u0)
+        drive = check_finite(linear(frames, self.w, self.b), f"stage '{self.name}'")
+        trace = lif_unroll(drive, self.lif, u0)
         return trace.spikes, trace
 
     def parameters(self):

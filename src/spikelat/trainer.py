@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, check_finite
 from .data import Dataset, batches
 from .decoder import decode_batch, mean_exit_step, rate_decode
 from .errors import ContractError, FormatError, NumericsError, TrainingAbort
@@ -237,6 +237,7 @@ def _train_step(model, opt, imgs, labels, cfg: TrainConfig, lr) -> float:
                         detach_weights=cfg.detach_weights)
     else:
         loss = vanilla_loss(rec.logits, labels)
+    check_finite(loss, "the loss")
     opt.zero_grad()
     loss.backward()
     opt.step(lr=lr)

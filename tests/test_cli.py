@@ -228,6 +228,17 @@ class TestErrorPaths:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["train.lr", "train.tau", "train.weight_decay",
+                                     "lif.v_th", "lif.surrogate_width", "lif.tau_leak",
+                                     "data.noise"])
+    def test_nonfinite_float_setting_is_usage_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "run"
+        code = main(["train", "--out", str(out)] + fast_args(["--set", f"{key}={value}"]))
+        assert code == 2
+        assert f"{key} expects a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("train.epochs = soon\n")

@@ -8,8 +8,8 @@ import pytest
 
 from spikelat import trainer as trainer_module
 from spikelat.autodiff import Tensor
-from spikelat.data import Dataset, synth_blobs
-from spikelat.errors import ContractError, FormatError, TrainingAbort
+from spikelat.data import Dataset, synth_blobs, synth_digits
+from spikelat.errors import ContractError, FormatError, NumericsError, TrainingAbort
 from spikelat.network import Model, build_model, preset_spec
 from spikelat.trainer import (
     AdamW,
@@ -17,6 +17,7 @@ from spikelat.trainer import (
     cosine_lr,
     evaluate,
     load_checkpoint,
+    predict,
     read_checkpoint,
     save_checkpoint,
     train,
@@ -384,3 +385,36 @@ class TestMetricsCsv:
                            "sparsity,fallback_rate")
         assert text[1] == "1,0.01,1.5,0.5,2.25,0.125,0"
         assert len(text) == 2
+
+
+STAGES_WITH_A_DRIVE = [
+    ("mlp-mini", "enc"), ("mlp-mini", "s1"), ("mlp-mini", "out"),
+    ("vgg-mini", "enc"), ("vgg-mini", "s0"), ("vgg-mini", "s2"), ("vgg-mini", "out"),
+    ("sew-mini", "enc"), ("sew-mini", "s0"), ("sew-mini", "s2"), ("sew-mini", "s3"),
+    ("sew-mini", "out"),
+]
+
+
+class TestStageFiniteness:
+    """Each stage checks its drive, so a poisoned parameter is named by its
+    stage on every path, hidden stages included: there a NaN potential would
+    otherwise read as "no spike" and an infinite one as a spike."""
+
+    @pytest.mark.parametrize("poison", [np.nan, 1e308])   # 1e308 overflows in the sums
+    @pytest.mark.parametrize("preset, stage", STAGES_WITH_A_DRIVE)
+    def test_poisoned_stage_is_named(self, preset, stage, poison):
+        ds = synth_digits(16, seed=0)
+        spec = preset_spec(preset, (1, 16, 16), classes=10, timesteps=4, hidden=32,
+                           width=4)
+        model = build_model(spec, seed=0)
+        (target,) = [s for s in model.audit if s.name == stage]
+        _, weights = target.parameters()[0]      # the conv kernel or linear weights
+        weights.data[...] = poison
+        named = f"non-finite values in stage '{stage}'"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match=named):
+                evaluate(model, ds, batch_size=8)
+            with pytest.raises(NumericsError, match=named):
+                predict(model, ds, batch_size=8)
+            with pytest.raises(TrainingAbort, match=f"epoch 1 step 0: {named}"):
+                train(model, ds, ds, TrainConfig(epochs=1, batch_size=8))
