@@ -15,6 +15,14 @@ it is made, and the model checks one array per stage and the loss with
 :func:`check_finite`. NaN and Inf propagate through the arithmetic between
 those checks, so each still sees them.
 
+Inside a :func:`no_grad` scope nothing is recorded: an op result keeps no
+parents and no backward closure, so each intermediate array is freed as
+soon as the caller drops it. Eval-mode passes run there; backward through
+such a result raises ``ContractError``.
+
+``batchnorm2d`` keeps only its training branch: eval mode folds the running
+statistics into the conv before it (``network.ConvStage.drive``).
+
 ``conv2d`` is stride-1 only. Its input gradient is the same chunked
 shift-GEMM as its forward pass, run on the upstream gradient with the
 flipped, channel-transposed kernel.
@@ -22,12 +30,28 @@ flipped, channel-transposed kernel.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContractError, GraphError, NumericsError, ShapeError
 
 _ids = itertools.count()
+_LEAF_OPS = ("leaf", "detach")
+_recording = True   # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """A scope whose op results are not recorded on the tape: they keep no
+    parents and no backward closure, and leaves are checked as usual. The
+    scope is process-wide, which is safe because the package runs no threads."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 class Tensor:
@@ -35,8 +59,9 @@ class Tensor:
 
     Leaf tensors have no parents. Operation results carry a ``_backward``
     closure which, given the node's accumulated gradient, adds each parent's
-    share to that parent's ``grad``. A node's parents are older than the
-    node: ``id`` is drawn at construction, after the parents exist.
+    share to that parent's ``grad``; inside :func:`no_grad` they carry
+    neither. A node's parents are older than the node: ``id`` is drawn at
+    construction, after the parents exist.
     """
 
     __slots__ = ("id", "data", "grad", "parents", "op", "_backward", "__weakref__")
@@ -44,8 +69,11 @@ class Tensor:
     def __init__(self, data, parents=(), op="leaf", backward=None):
         self.id = next(_ids)
         self.data = np.asarray(data, dtype=np.float64)
-        if not parents and not np.isfinite(self.data).all():
-            raise NumericsError(f"non-finite values in a {op} tensor")
+        if not parents:
+            if not np.isfinite(self.data).all():
+                raise NumericsError(f"non-finite values in a {op} tensor")
+        elif not _recording:
+            parents, backward = (), None
         self.grad = None
         self.parents = tuple(parents)
         self.op = op
@@ -95,7 +123,8 @@ class Tensor:
         Seeds the root gradient with 1 and runs every reachable node's
         ``_backward`` in reverse creation order (decreasing ``id``), which is
         topological because parents are older; a parent that is not older
-        raises ``GraphError``. Leaves already holding a gradient are added
+        raises ``GraphError``, and an op result made inside :func:`no_grad`
+        raises ``ContractError``. Leaves already holding a gradient are added
         to, so per-sample runs can be summed externally.
         """
         if self.data.size != 1:
@@ -105,6 +134,9 @@ class Tensor:
         nodes, stack = {self.id: self}, [self]
         while stack:
             node = stack.pop()
+            if not node.parents and node.op not in _LEAF_OPS:
+                raise ContractError(f"op '{node.op}' ran without a tape (no_grad);"
+                                    " it has no gradient to give")
             for p in node.parents:
                 if p.id >= node.id:
                     raise GraphError(f"op '{node.op}' has a parent made after it"
@@ -123,41 +155,36 @@ class Tensor:
     def __add__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "add")
-            out = Tensor(self.data + other.data, (self, other), "add")
 
             def bw(g, a=self, b=other):
                 a.accumulate(g)
                 b.accumulate(g)
 
-        else:
-            out = Tensor(self.data + float(other), (self,), "add")
+            return Tensor(self.data + other.data, (self, other), "add", bw)
 
-            def bw(g, a=self):
-                a.accumulate(g)
+        def bw(g, a=self):
+            a.accumulate(g)
 
-        out._backward = bw
-        return out
+        return Tensor(self.data + float(other), (self,), "add", bw)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "mul")
-            out = Tensor(self.data * other.data, (self, other), "mul")
 
             def bw(g, a=self, b=other):
                 a.accumulate(g * b.data)
                 b.accumulate(g * a.data)
 
-        else:
-            c = float(other)
-            out = Tensor(self.data * c, (self,), "mul")
+            return Tensor(self.data * other.data, (self, other), "mul", bw)
 
-            def bw(g, a=self, c=c):
-                a.accumulate(g * c)
+        c = float(other)
 
-        out._backward = bw
-        return out
+        def bw(g, a=self, c=c):
+            a.accumulate(g * c)
+
+        return Tensor(self.data * c, (self,), "mul", bw)
 
     __rmul__ = __mul__
 
@@ -165,28 +192,23 @@ class Tensor:
         """Integer or slice indexing on axis 0; a tensor iterates its steps."""
         if not isinstance(idx, (int, np.integer, slice)):
             raise ContractError("only integer or slice indexing on axis 0 is supported")
-        out = Tensor(self.data[idx], (self,), "index0")
 
         def bw(g, a=self, idx=idx):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             a.grad[idx] += g
 
-        out._backward = bw
-        return out
+        return Tensor(self.data[idx], (self,), "index0", bw)
 
     # -- reductions and reshapes -------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
-
         def bw(g, a=self, axis=axis, keepdims=keepdims):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(g, a.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", bw)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -198,13 +220,11 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), (self,), "reshape")
 
         def bw(g, a=self):
             a.accumulate(g.reshape(a.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data.reshape(shape), (self,), "reshape", bw)
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str):
@@ -229,14 +249,12 @@ def stack(tensors) -> Tensor:
     for t in tensors[1:]:
         if t.data.shape != shape:
             raise ShapeError("stack: member shapes differ")
-    out = Tensor(np.stack([t.data for t in tensors]), tuple(tensors), "stack")
 
     def bw(g, members=tuple(tensors)):
         for i, m in enumerate(members):
             m.accumulate(g[i])
 
-    out._backward = bw
-    return out
+    return Tensor(np.stack([t.data for t in tensors]), tuple(tensors), "stack", bw)
 
 
 # -- neural-net primitives --------------------------------------------------
@@ -254,7 +272,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x2 = x.data.reshape(-1, w.shape[0])
     out_data = x2 @ w.data
     out_data += b.data
-    out = Tensor(out_data.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), "linear")
 
     def bw(g, x=x, w=w, b=b, x2=x2):
         g2 = g.reshape(x2.shape[0], -1)
@@ -262,8 +279,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         w.accumulate(x2.T @ g2)
         b.accumulate(g2.sum(axis=0))
 
-    out._backward = bw
-    return out
+    return Tensor(out_data.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), "linear", bw)
 
 
 def _conv_geometry(H, W, K, pad):
@@ -343,12 +359,13 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: input has {C} channels, kernel expects {c_in}")
     if pad > K - 1:
         raise ShapeError(f"conv2d: pad {pad} exceeds kernel size - 1 ({K - 1})")
+    if x.size == 0:
+        raise ShapeError(f"conv2d: empty input {x.shape}")
     h_out, w_out = _conv_geometry(H, W, K, pad)
 
     xs = x.data.reshape(-1, C, H, W)
     w2 = k.data.transpose(0, 2, 3, 1).reshape(c_out, K * K * C)
-    out_data = _correlate(xs, w2, K, pad)
-    out = Tensor(out_data.reshape(x.shape[:-3] + (c_out, h_out, w_out)), (x, k), "conv2d")
+    out_data = _correlate(xs, w2, K, pad).reshape(x.shape[:-3] + (c_out, h_out, w_out))
 
     def bw(g, x=x, k=k, xs=xs, w2=w2):
         g = g.reshape(-1, c_out, h_out, w_out)
@@ -363,8 +380,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             dw += (grid[:n].reshape(n, c_out, -1) @ p.transpose(0, 2, 1)).sum(axis=0)
         k.accumulate(dw.reshape(c_out, K, K, C).transpose(0, 3, 1, 2))
 
-    out._backward = bw
-    return out
+    return Tensor(out_data, (x, k), "conv2d", bw)
 
 
 _BN_MOMENTUM = 0.1   # weight of one step's batch statistics in the running buffers
@@ -377,14 +393,14 @@ def batchnorm2d(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    training: bool,
 ) -> Tensor:
-    """Per-channel batch normalization over (N, H, W).
+    """Training-mode per-channel batch normalization over (N, H, W).
 
-    Train mode normalizes by batch statistics and folds them into the
-    running buffers in place (new = (1-m)*old + m*batch, m = _BN_MOMENTUM,
-    unbiased variance for the running buffer). Eval mode uses the running
-    buffers. A time-major x (T,N,C,H,W) is normalized step by step: each
+    Normalizes by batch statistics and folds them into the running buffers
+    in place (new = (1-m)*old + m*batch, m = _BN_MOMENTUM, unbiased
+    variance for the running buffer). Eval mode, which uses the running
+    buffers, is folded into the conv before it (``ConvStage.drive``).
+    A time-major x (T,N,C,H,W) is normalized step by step: each
     timestep has its own batch statistics and updates the running buffers
     once, in step order, exactly as T calls on the (N,C,H,W) steps would.
     """
@@ -396,56 +412,48 @@ def batchnorm2d(
     _, N, C, H, W = x5.shape
     m = N * H * W
 
-    mu = x5.mean(axis=(1, 3, 4)) if training else running_mean[None]
+    mu = x5.mean(axis=(1, 3, 4))
     d = x5 - mu[:, None, :, None, None]     # deviations; backward reuses them
-    var = np.einsum("tnchw,tnchw->tc", d, d) / m if training else running_var[None]
-    if training:
-        unbiased = var * (m / (m - 1)) if m > 1 else var
-        for mu_t, var_t in zip(mu, unbiased):
-            running_mean *= 1.0 - _BN_MOMENTUM
-            running_mean += _BN_MOMENTUM * mu_t
-            running_var *= 1.0 - _BN_MOMENTUM
-            running_var += _BN_MOMENTUM * var_t
-    inv_std = 1.0 / np.sqrt(var + _BN_EPS)      # (T, C), or (1, C) in eval mode
+    var = np.einsum("tnchw,tnchw->tc", d, d) / m
+    unbiased = var * (m / (m - 1)) if m > 1 else var
+    for mu_t, var_t in zip(mu, unbiased):
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mu_t
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * var_t
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)      # (T, C)
     out_data = d * (gamma.data * inv_std)[:, None, :, None, None]
     out_data += beta.data[:, None, None]
-    out = Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d")
 
-    def bw(g, x=x, gamma=gamma, beta=beta, d=d, inv_std=inv_std,
-           training=training, m=m):
+    def bw(g, x=x, gamma=gamma, beta=beta, d=d, inv_std=inv_std, m=m):
         g = g.reshape(d.shape)
         sum_g = np.einsum("tnchw->tc", g)
         sum_gd = np.einsum("tnchw,tnchw->tc", g, d)
         gamma.accumulate((sum_gd * inv_std).sum(axis=0))
         beta.accumulate(sum_g.sum(axis=0))
         scale = gamma.data * inv_std
+        # batch statistics depend on x, so the full Jacobian applies:
+        # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std
         dx = g * scale[:, None, :, None, None]
-        if training:
-            # batch statistics depend on x, so the full Jacobian applies:
-            # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std
-            dx -= d * (scale * inv_std**2 * sum_gd / m)[:, None, :, None, None]
-            dx -= (scale * sum_g / m)[:, None, :, None, None]
+        dx -= d * (scale * inv_std**2 * sum_gd / m)[:, None, :, None, None]
+        dx -= (scale * sum_g / m)[:, None, :, None, None]
         x.accumulate(dx.reshape(x.shape), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d", bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function, overflow-safe on both tails."""
+    """Elementwise logistic function, overflow-safe on both tails: with
+    e = exp(-|x|) <= 1, it is 1/(1+e) for x >= 0 and e/(1+e) below."""
     d = x.data
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    s[~pos] = e / (1.0 + e)
-    out = Tensor(s, (x,), "sigmoid")
+    e = np.exp(-np.abs(d))
+    q = 1.0 + e
+    s = np.where(d >= 0, 1.0 / q, e / q)
 
     def bw(g, x=x, s=s):
         x.accumulate(g * s * (1.0 - s), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(s, (x,), "sigmoid", bw)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -455,13 +463,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(s, (x,), "softmax_rows")
 
     def bw(g, x=x, s=s):
         x.accumulate(s * (g - (g * s).sum(axis=1, keepdims=True)))
 
-    out._backward = bw
-    return out
+    return Tensor(s, (x,), "softmax_rows", bw)
 
 
 def avg_pool2d(x: Tensor, size: int) -> Tensor:
@@ -478,7 +484,6 @@ def avg_pool2d(x: Tensor, size: int) -> Tensor:
     for o in offsets[1:]:
         out_data += x.data[o]
     out_data /= size * size
-    out = Tensor(out_data, (x,), "avg_pool2d")
 
     def bw(g, x=x, offsets=offsets):
         dx = np.empty_like(x.data)
@@ -487,5 +492,4 @@ def avg_pool2d(x: Tensor, size: int) -> Tensor:
             dx[o] = g
         x.accumulate(dx, fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(out_data, (x,), "avg_pool2d", bw)

@@ -41,13 +41,11 @@ def latency_encode(features: Tensor, timesteps: int) -> Tensor:
     """
     t_s = spike_time(features.data, timesteps)
     steps = np.arange(1, timesteps + 1).reshape((-1,) + (1,) * t_s.ndim)
-    out = Tensor((t_s == steps).astype(np.float64), (features,), "latency_encode")
 
     def bw(g, f=features):
         f.accumulate(g.sum(axis=0), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor((t_s == steps).astype(np.float64), (features,), "latency_encode", bw)
 
 
 def __getattr__(name):

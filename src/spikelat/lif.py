@@ -77,21 +77,7 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
         np.multiply(spikes[t], v_th, out=u)
         np.subtract(pots[t], u, out=u)
 
-    s = Tensor(spikes, (currents,), "lif_unroll")
-    potentials = Tensor(pots, (s,), "lif_potentials")
-    final = Tensor(u, (s,), "lif_final")
-    # no reference from s to its children: the graph stays free of cycles
-    upstream = {}
-
-    def hand_over(name):
-        def bw(g, s=s):
-            upstream[name] = g
-            if s.grad is None:      # the sweep runs from the spike node
-                s.grad = np.zeros_like(s.data)
-        return bw
-
-    potentials._backward = hand_over("potentials")
-    final._backward = hand_over("final")
+    upstream = {}   # gradients handed over by the potentials and final nodes
 
     def bw(d_spikes, currents=currents, pots=pots):
         # du_pre = (dS*window + dU) + du*keep, keep = 1 - v_th*window or 1
@@ -110,5 +96,18 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
             np.multiply(d_drive[t], tau, out=d_u)
         currents.accumulate(d_drive, fresh=True)
 
-    s._backward = bw
-    return LifTrace(spikes=s, potentials=potentials, final=final)
+    s = Tensor(spikes, (currents,), "lif_unroll", bw)
+    if not s.parents:       # made without a tape: nothing will hand gradients over
+        return LifTrace(s, Tensor(pots, (s,), "lif_potentials"), Tensor(u, (s,), "lif_final"))
+
+    # no reference from s to its children: the graph stays free of cycles
+    def hand_over(name):
+        def bw(g, s=s):
+            upstream[name] = g
+            if s.grad is None:      # the sweep runs from the spike node
+                s.grad = np.zeros_like(s.data)
+        return bw
+
+    return LifTrace(spikes=s,
+                    potentials=Tensor(pots, (s,), "lif_potentials", hand_over("potentials")),
+                    final=Tensor(u, (s,), "lif_final", hand_over("final")))

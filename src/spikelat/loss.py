@@ -57,15 +57,13 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     n, c = logits.shape
     labels = _check_labels(labels, n, c)
     logp = _log_softmax(logits.data)
-    out = Tensor(-logp[np.arange(n), labels], (logits,), "cross_entropy")
 
     def bw(g, logits=logits, logp=logp, labels=labels, n=n):
         dz = np.exp(logp)
         dz[np.arange(n), labels] -= 1.0
         logits.accumulate(g[:, None] * dz)
 
-    out._backward = bw
-    return out
+    return Tensor(-logp[np.arange(n), labels], (logits,), "cross_entropy", bw)
 
 
 def confidence(logits: Tensor) -> Tensor:
@@ -78,13 +76,11 @@ def confidence(logits: Tensor) -> Tensor:
         raise ShapeError("confidence expects (N, C) logits")
     logp = _log_softmax(logits.data)
     p, ent, lam = _certainty(logp)
-    out = Tensor(lam, (logits,), "confidence")
 
     def bw(g, logits=logits, p=p, logp=logp, ent=ent):
         logits.accumulate(g[:, None] * _d_certainty(p, logp, ent))
 
-    out._backward = bw
-    return out
+    return Tensor(lam, (logits,), "confidence", bw)
 
 
 def temporal_weights(lam: Tensor, tau: float = 2.0) -> Tensor:
@@ -120,7 +116,6 @@ def tad_loss(step_logits, labels, tau: float = 2.0,
     rows = np.arange(n)
     ce = np.ascontiguousarray(-logp[:, rows, labels].T)      # (N, T)
     per_sample = (w * ce).sum(axis=1)
-    out = Tensor(per_sample.sum() * (1.0 / n), (o,), "tad_loss")
 
     def bw(g, o=o):
         d = p.copy()
@@ -130,8 +125,7 @@ def tad_loss(step_logits, labels, tau: float = 2.0,
             d += spread * _d_certainty(p, logp, ent)
         o.accumulate((g * (1.0 / n) * w).T[..., None] * d, fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(per_sample.sum() * (1.0 / n), (o,), "tad_loss", bw)
 
 
 def vanilla_loss(step_logits, labels) -> Tensor:

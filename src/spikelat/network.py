@@ -12,7 +12,10 @@ image into one (T, N, ...) spike raster and each stage maps its
 predecessor's raster to its own, which for a feedforward wiring equals
 stepping the whole net through time. Convolutions, linear maps and pooling
 run once on the folded (T*N, ...) batch; only the membrane recurrence
-steps through time, inside one fused LIF node per population.
+steps through time, inside one fused LIF node per population. Only a
+training pass is recorded on the tape: an eval pass runs under
+``autodiff.no_grad``, so each stage's arrays are freed once the next stage
+has them, and its batch norm is folded into the conv before it.
 
 The encoder is a conv stage whose drive feeds a sigmoid and the latency
 code instead of a LIF population. The output stage is a spiking linear
@@ -21,12 +24,13 @@ as the per-step logits for the loss; its spikes drive first-spike decoding.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, _conv_geometry, avg_pool2d, batchnorm2d, check_finite,
-                       conv2d, linear, sigmoid)
+from .autodiff import (_BN_EPS, Tensor, _conv_geometry, avg_pool2d, batchnorm2d,
+                       check_finite, conv2d, linear, no_grad, sigmoid)
 from .data import seeded_rng
 from .encoder import latency_encode
 from .errors import ShapeError, SpecError
@@ -203,10 +207,23 @@ class ConvStage(Stage):
 
     def drive(self, frames, training):
         """Conv then batch norm of (N, ...) images or (T, N, ...) frames,
-        checked for NaN and Inf: what follows a drive could hide them."""
-        h = conv2d(frames, self.k, pad=LayerSpec.pad)
-        h = batchnorm2d(h, self.gamma, self.beta, self.running_mean,
-                        self.running_var, training=training)
+        checked for NaN and Inf: what follows a drive could hide them.
+
+        In eval mode the batch norm is affine per channel, so it folds into
+        the conv (Jacob et al., CVPR 2018): one conv on the kernel scaled by
+        gamma/sqrt(running_var+eps), then the shift beta - running_mean*scale.
+        """
+        if training:
+            h = batchnorm2d(conv2d(frames, self.k, pad=LayerSpec.pad), self.gamma,
+                            self.beta, self.running_mean, self.running_var)
+        else:
+            with no_grad():     # eval mode is not differentiable
+                scale = self.gamma.data / np.sqrt(self.running_var + _BN_EPS)
+                # a result of k and gamma, not a leaf: the check below names the stage
+                folded = Tensor(self.k.data * scale[:, None, None, None],
+                                (self.k, self.gamma), "bn_fold")
+                h = conv2d(frames, folded, pad=LayerSpec.pad)
+            h.data += (self.beta.data - self.running_mean * scale)[:, None, None]
         return check_finite(h, f"stage '{self.name}'")
 
     def unroll(self, frames, training, u0=None):
@@ -327,15 +344,19 @@ class Model:
         self.audit = [encoder, *stages, output]
 
     def forward(self, images: Tensor, training: bool = False) -> ForwardRecord:
+        """Run every stage over the whole window. Only a training pass is
+        recorded on the tape; an eval pass frees each stage's arrays as the
+        next stage runs, keeping only what the record holds."""
         frames = images
         record_frames = {}
-        for stage in self.audit:
-            frames, trace = stage.unroll(frames, training)
-            if stage.spiking:
-                record_frames[stage.name] = frames.data
-            if trace is not None:
-                logits = trace.potentials
-            del trace   # free the final potential before the next stage runs
+        with nullcontext() if training else no_grad():
+            for stage in self.audit:
+                frames, trace = stage.unroll(frames, training)
+                if stage.spiking:
+                    record_frames[stage.name] = frames.data
+                if trace is not None:
+                    logits = trace.potentials
+                del trace   # free the final potential before the next stage runs
         return ForwardRecord(
             logits=logits,
             out_spikes=frames,

@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, check_finite
+from .autodiff import Tensor, check_finite, no_grad
 from .data import Dataset, batches
 from .decoder import decode_batch, mean_exit_step, rate_decode
 from .errors import ContractError, FormatError, NumericsError, TrainingAbort
@@ -115,6 +115,7 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first") -> EvalRe
         raise ContractError("decode must be 'first' or 'rate'")
     if len(ds) == 0:
         raise ContractError("evaluate needs at least one image")
+    _keep_freed_step_memory()
     predicted = []
     decisions = []
     spike_share = 0.0     # per-batch sparsity weighted by the batch's images
@@ -127,7 +128,7 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first") -> EvalRe
             predicted.extend(d.label for d in ds_batch)
         else:
             predicted.extend(rate_decode(rec.out_spikes).tolist())
-        del rec     # free this batch's graph before the next forward
+        del rec     # free this batch's arrays before the next forward
     predicted = np.array(predicted, dtype=np.int64)
     accuracy = float((predicted == ds.labels).mean())
     if decode == "first":
@@ -151,13 +152,15 @@ def predict(model: Model, ds: Dataset, batch_size=64) -> list:
     to T and take the fallback. A block that frees no sample paid a pass
     over the stages for nothing, so the rest of the window then runs as one
     block. Eval-mode batch norm is affine per channel, so dropping rows
-    changes nothing for the others.
+    changes nothing for the others. Nothing is recorded on the tape.
     """
     if len(ds) == 0:
         raise ContractError("predict needs at least one image")
+    _keep_freed_step_memory()
     decisions = []
-    for imgs, _ in batches(ds, batch_size, shuffle=False):
-        decisions.extend(_first_spike_decisions(model, Tensor(imgs)))
+    with no_grad():
+        for imgs, _ in batches(ds, batch_size, shuffle=False):
+            decisions.extend(_first_spike_decisions(model, Tensor(imgs)))
     return decisions
 
 
@@ -208,9 +211,9 @@ _TOP_PAD_BYTES = 256 << 20
 
 
 def _keep_freed_step_memory():
-    """Ask glibc to keep the heap memory a training step frees.
+    """Ask glibc to keep the heap memory a training or eval step frees.
 
-    Each step frees its whole graph before the next one builds its own. By
+    Each step frees its arrays before the next one makes its own. By
     default glibc hands the freed top of the heap back to the OS every time
     and the next step faults it back in page by page, which costs vgg-mini
     (batch 128, T=4) a fifth of its step time. A top pad keeps up to

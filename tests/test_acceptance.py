@@ -168,7 +168,7 @@ def test_criterion_01_gradients():
         def bn(t, xv=x, g=gamma, bv=beta, wi=which, seed=i):
             args = [Tensor(xv), Tensor(g), Tensor(bv)]
             args[wi] = t
-            out = batchnorm2d(args[0], args[1], args[2], training=True,
+            out = batchnorm2d(args[0], args[1], args[2],
                               running_mean=run_m.copy(), running_var=run_v.copy())
             return project(out, np.random.default_rng(seed))
 

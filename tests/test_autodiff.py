@@ -9,6 +9,7 @@ from spikelat.autodiff import (
     check_finite,
     conv2d,
     linear,
+    no_grad,
     sigmoid,
     softmax_rows,
     stack,
@@ -28,6 +29,33 @@ def one_step(preset):
     loss = tad_loss(model.forward(Tensor(ds.images), training=True).logits, ds.labels)
     loss.backward()
     return loss, {name: t.grad for name, t in model.parameters()}
+
+
+def delta_stage(channels, rng=None):
+    """A conv stage whose kernel is a centred delta, so its conv is the
+    identity and its drive is its batch norm alone. With ``rng``, gamma,
+    beta and the running statistics are drawn away from their initial values."""
+    stage = network.ConvStage("s0", (channels, 3, 3), network.LayerSpec("conv", out=channels),
+                              None, np.random.default_rng(0))
+    stage.k.data[...] = 0.0
+    stage.k.data[range(channels), range(channels), 1, 1] = 1.0
+    if rng is not None:
+        stage.gamma.data[...] = rng.uniform(0.5, 1.5, channels)
+        stage.beta.data[...] = rng.normal(size=channels)
+        stage.running_mean[...] = rng.normal(size=channels)
+        stage.running_var[...] = rng.uniform(0.5, 2.0, channels)
+    return stage
+
+
+def masked_sigmoid(d):
+    """The logistic function split by sign with masks, each half gathered
+    and scattered back: the reference ``sigmoid`` must match bit for bit."""
+    s = np.empty_like(d)
+    pos = d >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    s[~pos] = e / (1.0 + e)
+    return s
 
 
 class TestForwardValues:
@@ -85,6 +113,13 @@ class TestForwardValues:
         out = sigmoid(Tensor([0.0, np.log(3.0)]))
         np.testing.assert_allclose(out.data, [0.5, 0.75], rtol=1e-14)
 
+    def test_sigmoid_bits_equal_the_masked_form(self):
+        mags = np.logspace(-300, 308, 500_000)
+        d = np.concatenate([mags, -mags, [0.0, -0.0, 745.0, -745.0]])
+        np.random.default_rng(3).shuffle(d)
+        got = sigmoid(Tensor(d)).data
+        assert np.array_equal(got.view(np.uint64), masked_sigmoid(d).view(np.uint64))
+
     def test_sigmoid_saturates_without_overflow(self):
         out = sigmoid(Tensor([-1000.0, 1000.0]))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
@@ -111,7 +146,7 @@ class TestForwardValues:
         x = rng.normal(loc=3.0, scale=2.0, size=(8, 3, 4, 4))
         rm, rv = np.zeros(3), np.ones(3)
         out = batchnorm2d(
-            Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, training=True
+            Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv
         )
         np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.var(axis=(0, 2, 3)), 1.0, rtol=1e-3)
@@ -121,7 +156,7 @@ class TestForwardValues:
         x = rng.normal(size=(6, 2, 3, 3))
         rm, rv = np.zeros(2), np.ones(2)
         batchnorm2d(
-            Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, training=True
+            Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv
         )
         m = 6 * 3 * 3
         mu = x.mean(axis=(0, 2, 3))
@@ -130,15 +165,31 @@ class TestForwardValues:
         np.testing.assert_allclose(rv, 0.9 + 0.1 * var_u, rtol=1e-12)
 
     def test_batchnorm_eval_uses_running_stats(self):
-        x = np.full((2, 1, 2, 2), 7.0)
-        rm, rv = np.array([5.0]), np.array([4.0])
-        out = batchnorm2d(
-            Tensor(x), Tensor([2.0]), Tensor([1.0]), rm, rv, training=False
-        )
+        # eval mode is folded into the conv; a delta kernel leaves the batch norm
+        stage = delta_stage(1)
+        stage.gamma.data[...], stage.beta.data[...] = 2.0, 1.0
+        stage.running_mean[...], stage.running_var[...] = 5.0, 4.0
+        out = stage.drive(Tensor(np.full((2, 1, 2, 2), 7.0)), training=False)
         expect = 2.0 * (7.0 - 5.0) / np.sqrt(4.0 + 1e-5) + 1.0
         np.testing.assert_allclose(out.data, expect, rtol=1e-12)
-        np.testing.assert_allclose(rm, [5.0])
-        np.testing.assert_allclose(rv, [4.0])
+        np.testing.assert_allclose(stage.running_mean, [5.0])
+        np.testing.assert_allclose(stage.running_var, [4.0])
+
+    def test_folded_eval_drive_matches_conv_then_running_stats(self):
+        rng = np.random.default_rng(6)
+        stage = network.ConvStage("s0", (3, 6, 6), network.LayerSpec("conv", out=4), None, rng)
+        stage.gamma.data[...] = rng.uniform(0.5, 1.5, 4)
+        stage.beta.data[...] = rng.normal(size=4)
+        stage.running_mean[...] = rng.normal(scale=2.0, size=4)
+        stage.running_var[...] = rng.uniform(0.1, 3.0, 4)
+        x = (rng.random(size=(2, 5, 3, 6, 6)) < 0.4).astype(float)
+        got = stage.drive(Tensor(x), training=False).data
+        h = conv2d(Tensor(x), stage.k, pad=1).data
+        per_channel = (slice(None), None, None)
+        rm, rv = stage.running_mean[per_channel], stage.running_var[per_channel]
+        expect = ((h - rm) / np.sqrt(rv + 1e-5) * stage.gamma.data[per_channel]
+                  + stage.beta.data[per_channel])
+        assert rel_err(got, expect) < 1e-12
 
 
 class TestGradients:
@@ -191,42 +242,18 @@ class TestGradients:
 
         def with_x(t):
             return (
-                batchnorm2d(
-                    t, Tensor(g0), Tensor(b0), np.zeros(2), np.ones(2), training=True
-                )
+                batchnorm2d(t, Tensor(g0), Tensor(b0), np.zeros(2), np.ones(2))
                 * Tensor(c)
             ).sum()
 
         def with_gamma(t):
             return (
-                batchnorm2d(
-                    Tensor(x0), t, Tensor(b0), np.zeros(2), np.ones(2), training=True
-                )
+                batchnorm2d(Tensor(x0), t, Tensor(b0), np.zeros(2), np.ones(2))
                 * Tensor(c)
             ).sum()
 
         check_grad(with_x, x0)
         check_grad(with_gamma, g0)
-
-    def test_batchnorm_eval_grad_vs_numeric(self):
-        rng = np.random.default_rng(16)
-        x0 = rng.normal(size=(3, 2, 2, 2))
-        c = rng.normal(size=(3, 2, 2, 2))
-
-        def build(t):
-            return (
-                batchnorm2d(
-                    t,
-                    Tensor([1.5, 0.5]),
-                    Tensor([0.1, -0.2]),
-                    np.array([0.3, -0.1]),
-                    np.array([2.0, 0.5]),
-                    training=False,
-                )
-                * Tensor(c)
-            ).sum()
-
-        check_grad(build, x0)
 
     def test_reductions_and_reshape_grads(self):
         rng = np.random.default_rng(17)
@@ -275,7 +302,7 @@ class TestGradients:
 class TestComposition:
     def _chain(self, x, k, gamma, beta, w, b, mask):
         h = conv2d(x, k, stride=1, pad=1)
-        h = batchnorm2d(h, gamma, beta, np.zeros(4), np.ones(4), training=True)
+        h = batchnorm2d(h, gamma, beta, np.zeros(4), np.ones(4))
         h = sigmoid(h)
         h = avg_pool2d(h, 3)
         h = h.reshape(h.shape[0], 4 * 2 * 2)
@@ -363,9 +390,12 @@ class TestErrorHandling:
     @pytest.mark.parametrize("shape", [(0, 2, 4, 4), (3, 0, 2, 4, 4)])
     @pytest.mark.parametrize("training", [True, False])
     def test_batchnorm_empty_input_raises(self, shape, training):
-        with pytest.raises(ShapeError):
-            batchnorm2d(Tensor(np.zeros(shape)), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                        np.zeros(2), np.ones(2), training=training)
+        x = Tensor(np.zeros(shape))
+        with pytest.raises(ShapeError, match="empty input"):
+            if training:
+                batchnorm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), np.zeros(2), np.ones(2))
+            else:   # eval mode is folded into the conv, which rejects it
+                delta_stage(2).drive(x, training=False)
 
     def test_pool_indivisible_raises(self):
         with pytest.raises(ShapeError):
@@ -413,6 +443,41 @@ class TestErrorHandling:
             y = y * 1.0001
         y.sum().backward()
         assert x.grad is not None
+
+
+class TestNoGrad:
+    def test_results_keep_no_parents_and_no_closure(self):
+        x = Tensor(np.ones(3))
+        with no_grad():
+            y = (x * 2.0 + x).sum()
+        assert y.parents == () and y._backward is None
+        z = x * 2.0     # the scope has ended
+        assert z.parents == (x,) and z._backward is not None
+
+    def test_backward_through_an_untaped_result_raises(self):
+        x = Tensor(np.ones(3))
+        with no_grad():
+            y = x * 2.0
+            root = y.sum()
+        with pytest.raises(ContractError, match="op 'mul' ran without a tape"):
+            (y * 3.0).sum().backward()
+        with pytest.raises(ContractError, match="op 'sum' ran without a tape"):
+            root.backward()
+        assert x.grad is None
+
+    def test_leaves_are_checked_and_results_are_not(self):
+        with no_grad():
+            with pytest.raises(NumericsError):
+                Tensor([np.inf])
+            with np.errstate(over="ignore"):
+                big = Tensor([1e300]) * Tensor([1e300])
+        assert np.isinf(big.data).all()
+
+    def test_scope_ends_on_an_error(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError
+        assert (Tensor([1.0]) * 2.0).parents
 
 
 class TestAccumulate:
@@ -549,25 +614,25 @@ class TestTimeMajor:
 
     @pytest.mark.parametrize("training", [True, False])
     def test_batchnorm_steps_match_per_step_calls(self, training):
+        # through a conv stage's drive with a delta kernel: the batch norm alone
         rng = np.random.default_rng(13)
         x = rng.normal(loc=0.5, scale=2.0, size=(3, 4, 2, 3, 3))
-        gamma, beta = Tensor(rng.uniform(0.5, 1.5, 2)), Tensor(rng.normal(size=2))
         proj = rng.normal(size=x.shape)
-        rm0, rv0 = rng.normal(size=2), rng.uniform(0.5, 2.0, 2)
+        stage, ref = (delta_stage(2, np.random.default_rng(1)) for _ in range(2))
+        rm0 = stage.running_mean.copy()
 
-        rm, rv = rm0.copy(), rv0.copy()
         block = Tensor(x)
-        out = batchnorm2d(block, gamma, beta, rm, rv, training=training)
-        (out * Tensor(proj)).sum().backward()
-
-        rm_ref, rv_ref = rm0.copy(), rv0.copy()
+        out = stage.drive(block, training)
         steps = [Tensor(xt) for xt in x]
-        outs = [batchnorm2d(s, gamma, beta, rm_ref, rv_ref, training=training)
-                for s in steps]
+        outs = [ref.drive(s, training) for s in steps]
         assert np.array_equal(out.data, np.stack([o.data for o in outs]))
-        assert np.array_equal(rm, rm_ref) and np.array_equal(rv, rv_ref)
-        sum((o * Tensor(p)).sum() for o, p in zip(outs, proj)).backward()
-        assert np.array_equal(block.grad, np.stack([s.grad for s in steps]))
+        assert np.array_equal(stage.running_mean, ref.running_mean)
+        assert np.array_equal(stage.running_var, ref.running_var)
+        assert np.array_equal(stage.running_mean, rm0) != training
+        if training:    # eval mode is not differentiable
+            (out * Tensor(proj)).sum().backward()
+            sum((o * Tensor(p)).sum() for o, p in zip(outs, proj)).backward()
+            assert np.array_equal(block.grad, np.stack([s.grad for s in steps]))
 
 
 def direct_conv(x, k, stride, pad):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spikelat.autodiff import Tensor, batchnorm2d, conv2d
-from spikelat.errors import ShapeError, SpecError
+from spikelat.data import synth_digits
+from spikelat.errors import ContractError, ShapeError, SpecError
 from spikelat.lif import LifConfig
 from spikelat.loss import tad_loss
 from spikelat.network import (
@@ -11,6 +14,7 @@ from spikelat.network import (
     build_model,
     preset_spec,
 )
+from spikelat.trainer import evaluate, predict
 
 
 def small_images(n=4, shape=(1, 8, 8), seed=0):
@@ -196,7 +200,7 @@ class TestForward:
         mean, var = mean0.copy(), var0.copy()
         for x in frames:
             h = conv2d(Tensor(x), stage.k, stride=LayerSpec.stride, pad=LayerSpec.pad)
-            batchnorm2d(h, stage.gamma, stage.beta, mean, var, training=True)
+            batchnorm2d(h, stage.gamma, stage.beta, mean, var)
         assert np.array_equal(stage.running_mean, mean)
         assert np.array_equal(stage.running_var, var)
         assert not np.array_equal(mean, mean0)
@@ -225,3 +229,56 @@ class TestGradientFlow:
             assert t.grad is not None, f"{pname} got no gradient"
         assert np.any(model.encoder.k.grad != 0.0)
         assert np.any(model.output.w.grad != 0.0)
+
+
+class TestEvalWithoutTape:
+    """Eval-mode passes record nothing: every op result is a bare array holder."""
+
+    @staticmethod
+    def results_made(monkeypatch):
+        made = []
+        init = Tensor.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.op not in ("leaf", "detach"):
+                made.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", record)
+        return made
+
+    @pytest.mark.parametrize("name", ["mlp-mini", "vgg-mini", "sew-mini"])
+    def test_eval_record_and_predict_make_no_tape_nodes(self, monkeypatch, name):
+        model = build_model(preset_spec(name, (1, 16, 16), classes=10, timesteps=4))
+        ds = synth_digits(12, seed=0)
+        made = self.results_made(monkeypatch)
+        rec = model.forward(Tensor(ds.images), training=False)
+        evaluate(model, ds, batch_size=8)
+        predict(model, ds, batch_size=8)
+        assert rec.logits in made and rec.out_spikes in made
+        assert all(t.parents == () and t._backward is None for t in made)
+        made.clear()
+        model.forward(Tensor(ds.images), training=True)
+        assert made and all(t.parents and t._backward is not None for t in made)
+
+    def test_backward_through_an_eval_record_raises(self):
+        model = build_model(preset_spec("sew-mini", (1, 16, 16), classes=10, timesteps=4))
+        ds = synth_digits(6, seed=1)
+        rec = model.forward(Tensor(ds.images), training=False)
+        with pytest.raises(ContractError, match="op 'lif_potentials' ran without a tape"):
+            tad_loss(rec.logits, ds.labels).backward()
+        assert all(t.grad is None for _, t in model.parameters())
+
+    def test_eval_forward_peak_is_at_most_half_a_training_forward(self):
+        model = build_model(preset_spec("sew-mini", (1, 16, 16), classes=10, timesteps=4))
+        images = Tensor(synth_digits(64, seed=2).images)
+        peak = {}
+        for training in (False, True):
+            tracemalloc.start()
+            try:
+                rec = model.forward(images, training=training)
+                peak[training] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del rec
+        assert peak[False] <= 0.5 * peak[True], peak
