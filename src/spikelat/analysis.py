@@ -18,11 +18,12 @@ the window: the mean cosine between a sample's activity vectors at two
 steps, averaged over the batch. Latency-encoded layers place each neuron's
 single spike in exactly one frame, so their matrix is the identity.
 
+Energy and similarity read one layer-major full-window forward record.
 The robustness sweep scores the model under five image corruptions at five
-severities; its summary is the unweighted mean error over all cells. It
-needs only labels, so it runs step-major (``trainer.predict``) and stops
-each sample after the block of steps that holds its first output spike.
-The cells run serially in a fixed order, each with its own fixed seed.
+severities; its summary is the unweighted mean error over all cells. Each
+cell's error is ``1 - trainer.evaluate(...).accuracy``, so each sample
+stops after the block of steps that holds its first output spike. The
+cells run serially in a fixed order, each with its own fixed seed.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import numpy as np
 from .data import CORRUPTIONS, Dataset, corrupt
 from .errors import ContractError
 from .network import Model, flops_conv, flops_fc  # noqa: F401  (count formulas)
-from .trainer import evaluate, predict  # noqa: F401  (evaluate: public name)
+from .trainer import evaluate
 
 PLATFORM_SHARES = {
     "truenorth": (0.6, 0.4),
@@ -235,10 +236,7 @@ def robustness_eval(model: Model, ds: Dataset, batch_size=64, seed=0,
         if predict_fn is not None:
             pred = np.asarray(predict_fn(images))
             return float((pred != ds.labels).mean())
-        decisions = predict(model, Dataset(images, ds.labels, ds.classes),
-                            batch_size)
-        labels = np.array([d.label for d in decisions], dtype=np.int64)
-        return 1.0 - float((labels == ds.labels).mean())
+        return 1.0 - evaluate(model, Dataset(images, ds.labels, ds.classes), batch_size).accuracy
 
     clean = error_on(ds.images)
     cells = {}

@@ -87,11 +87,3 @@ def decode_batch(spikes, potentials, tiebreak: str = "spikers", first_step=1):
 def rate_decode(spikes) -> np.ndarray:
     """Labels by total spike count; argmax resolves ties to the lowest index."""
     return _frames(spikes).sum(axis=0).argmax(axis=1)
-
-
-def mean_exit_step(decisions) -> float:
-    """Average decision step; the honest latency figure for a batch."""
-    decisions = list(decisions)
-    if not decisions:
-        raise ContractError("mean_exit_step of an empty batch")
-    return float(np.mean([d.exit_step for d in decisions]))

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check they share."""
+import math
 
 
 class SpikelatError(Exception):
@@ -40,3 +41,10 @@ class SpecError(SpikelatError):
 
 class TrainingAbort(SpikelatError):
     """Training hit a non-recoverable numeric condition and stopped."""
+
+
+def check_positive(name, value):
+    """Raise ``ContractError`` unless ``value`` is above zero and finite; NaN fails."""
+    if not 0 < value < math.inf:
+        need = "positive" if value <= 0 else "finite"
+        raise ContractError(f"{name} must be {need}, got {value}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, stack
-from .errors import ContractError
+from .errors import ContractError, check_positive
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,8 @@ class LifConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau_leak <= 1.0:
             raise ContractError(f"tau_leak must be in [0, 1], got {self.tau_leak}")
-        if self.v_th <= 0.0:
-            raise ContractError(f"v_th must be positive, got {self.v_th}")
-        if self.surrogate_width <= 0.0:
-            raise ContractError(
-                f"surrogate_width must be positive, got {self.surrogate_width}"
-            )
+        check_positive("v_th", self.v_th)
+        check_positive("surrogate_width", self.surrogate_width)
 
 
 def _window(u, cfg: LifConfig) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, softmax_rows, stack
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_positive
 
 
 def _check_labels(labels, n, c):
@@ -85,8 +85,7 @@ def confidence(logits: Tensor) -> Tensor:
 
 def temporal_weights(lam: Tensor, tau: float = 2.0) -> Tensor:
     """Softmax over time of confidence/tau; lam is (N, T), result is (N, T)."""
-    if tau <= 0:
-        raise ContractError(f"tau must be positive, got {tau}")
+    check_positive("tau", tau)
     return softmax_rows(lam * (1.0 / tau))
 
 

@@ -7,15 +7,16 @@ follows one protocol (:class:`Stage`): it is built from its input shape and
 reports its own output shape, connection count and whether it spikes, so
 ``Model.audit`` is simply the stage list.
 
-The forward pass is layer-major and time-major: the encoder turns the
-image into one (T, N, ...) spike raster and each stage maps its
-predecessor's raster to its own, which for a feedforward wiring equals
-stepping the whole net through time. Convolutions, linear maps and pooling
-run once on the folded (T*N, ...) batch; only the membrane recurrence
-steps through time, inside one fused LIF node per population. Only a
-training pass is recorded on the tape: an eval pass runs under
-``autodiff.no_grad``, so each stage's arrays are freed once the next stage
-has them, and its batch norm is folded into the conv before it.
+``Model.forward`` serves training and the full-window record the energy and
+similarity reports read; ``trainer.evaluate`` steps the stages instead. It
+is layer-major and time-major: each stage maps its predecessor's (T, N, ...)
+raster to its own, which for a feedforward wiring equals stepping the net
+through time. Convolutions, linear maps and pooling run once on the folded
+(T*N, ...) batch; only the membrane recurrence steps through time, in one
+fused LIF node per population. Only a training pass is recorded on the
+tape: an eval pass runs under ``autodiff.no_grad``, so each stage's arrays
+are freed once the next stage has them, and its batch norm is folded into
+the conv before it.
 
 The encoder is a conv stage whose drive feeds a sigmoid and the latency
 code instead of a LIF population. The output stage is a spiking linear
@@ -126,7 +127,6 @@ class ForwardRecord:
     logits: Tensor
     out_spikes: Tensor
     stage_spikes: dict
-    batch: int
 
     @property
     def timesteps(self):
@@ -361,7 +361,6 @@ class Model:
             logits=logits,
             out_spikes=frames,
             stage_spikes=record_frames,
-            batch=images.shape[0],
         )
 
     def parameters(self):

@@ -7,6 +7,10 @@ run. Both match the common modern recipe and are deterministic given the
 seed, so two identical runs produce byte-identical metrics and checkpoint
 files (nothing time-dependent is ever written into an artifact).
 
+``evaluate`` is the one pass that scores data (per epoch, ``spikelat eval``,
+the robustness sweep): step-major, each sample stopping at the block of
+steps that holds its first output spike.
+
 Checkpoints are a flat little-endian container of named float32 arrays:
 magic "SPKL", u32 version, u32 count, then per array a length-prefixed
 UTF-8 name, u32 rank, u64 dims, and the row-major data.
@@ -22,8 +26,8 @@ import numpy as np
 
 from .autodiff import Tensor, check_finite, no_grad
 from .data import Dataset, batches
-from .decoder import decode_batch, mean_exit_step, rate_decode
-from .errors import ContractError, FormatError, NumericsError, TrainingAbort
+from .decoder import decode_batch, rate_decode
+from .errors import ContractError, FormatError, NumericsError, TrainingAbort, check_positive
 from .loss import tad_loss, vanilla_loss
 from .network import Model, ModelSpec, build_model
 
@@ -34,8 +38,7 @@ class AdamW:
     b1, b2, eps = 0.9, 0.999, 1e-8    # Adam's usual moment decays and floor
 
     def __init__(self, params, lr=0.001, weight_decay=0.01):
-        if lr <= 0:
-            raise ContractError("lr must be positive")
+        check_positive("lr", lr)
         self.params = [t for _, t in params]
         self.lr = lr
         self.weight_decay = weight_decay
@@ -92,10 +95,11 @@ class TrainConfig:
             raise ContractError(f"loss must be 'tad' or 'vanilla', got {self.loss!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ContractError("lr must be positive")
-        if self.loss == "tad" and self.tau <= 0:
-            raise ContractError(f"tau must be positive, got {self.tau}")
+        check_positive("lr", self.lr)
+        if self.loss == "tad":      # the vanilla loss never reads tau
+            check_positive("tau", self.tau)
+        if not (math.isfinite(self.tau) and math.isfinite(self.weight_decay)):
+            raise ContractError(f"tau {self.tau} and weight_decay {self.weight_decay} must be finite")
         if self.seed < 0:
             raise ContractError(f"batch order seed must be >= 0, got {self.seed}")
 
@@ -110,87 +114,87 @@ class EvalResult:
 
 
 def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first") -> EvalResult:
-    """Run the model over a dataset in eval mode and score the decisions."""
+    """Score a dataset in eval mode, one step-major pass per batch.
+
+    ``sparsity`` charges each sample the spikes of every spiking stage, the
+    encoder included, in steps 1 through its exit step, as a share of those
+    slot-steps pooled over the set. Steps a block ran past a sample's exit
+    are not charged, so the figure does not depend on the batch size.
+    """
     if decode not in DECODE_MODES:
         raise ContractError("decode must be 'first' or 'rate'")
     if len(ds) == 0:
         raise ContractError("evaluate needs at least one image")
     _keep_freed_step_memory()
-    predicted = []
-    decisions = []
-    spike_share = 0.0     # per-batch sparsity weighted by the batch's images
-    for imgs, _ in batches(ds, batch_size, shuffle=False):
-        rec = model.forward(Tensor(imgs), training=False)
-        spike_share += rec.sparsity() * rec.batch
-        if decode == "first":
-            ds_batch = decode_batch(rec.out_spikes, rec.logits)
-            decisions.extend(ds_batch)
-            predicted.extend(d.label for d in ds_batch)
-        else:
-            predicted.extend(rate_decode(rec.out_spikes).tolist())
-        del rec     # free this batch's arrays before the next forward
-    predicted = np.array(predicted, dtype=np.int64)
-    accuracy = float((predicted == ds.labels).mean())
-    if decode == "first":
-        mean_exit = mean_exit_step(decisions)
-        fallback = float(np.mean([not d.spiked for d in decisions]))
-    else:
-        mean_exit = float(model.spec.timesteps)
-        fallback = 0.0
-    return EvalResult(accuracy, mean_exit, spike_share / len(predicted),
-                      fallback, decisions)
-
-
-def predict(model: Model, ds: Dataset, batch_size=64) -> list:
-    """``evaluate``'s first-spike decisions, from a step-major eval pass.
-
-    Time is the outer loop: a batch's encoder raster runs through every
-    stage in blocks of 1, 2, 4, ... steps, and each LIF population carries
-    only its potential into the next block. A sample leaves after the block
-    that holds its first output spike, so its rows are dropped from every
-    stage's state and from every later block; samples that never fire run
-    to T and take the fallback. A block that frees no sample paid a pass
-    over the stages for nothing, so the rest of the window then runs as one
-    block. Eval-mode batch norm is affine per channel, so dropping rows
-    changes nothing for the others. Nothing is recorded on the tape.
-    """
-    if len(ds) == 0:
-        raise ContractError("predict needs at least one image")
-    _keep_freed_step_memory()
-    decisions = []
+    first, got, spikes = decode == "first", [], 0
     with no_grad():
         for imgs, _ in batches(ds, batch_size, shuffle=False):
-            decisions.extend(_first_spike_decisions(model, Tensor(imgs)))
-    return decisions
+            batch, charged = _step_major(model, Tensor(imgs), first)
+            got += batch
+            spikes += charged
+    labels = [d.label for d in got] if first else got
+    exits = [d.exit_step for d in got] if first else [model.spec.timesteps] * len(got)
+    slots = sum(int(np.prod(s.out_shape)) for s in model.audit if s.spiking)
+    accuracy = float((np.array(labels) == ds.labels).mean())
+    fallback = float(np.mean([not d.spiked for d in got])) if first else 0.0
+    return EvalResult(accuracy, float(np.mean(exits)), spikes / (slots * sum(exits)),
+                      fallback, got if first else [])
 
 
-def _first_spike_decisions(model: Model, images: Tensor):
+def _spike_counts(frames):
+    """(steps, rows) number of slots of a (steps, rows, ...) block that carry a spike:
+    frames hold whole counts, so with a residual block's 2s clipped a sum is exact."""
+    f = frames.data.reshape(frames.shape[:2] + (-1,))
+    return (f if f.max() <= 1 else np.minimum(f, 1.0)) @ np.ones(f.shape[2])
+
+
+def _step_major(model: Model, images: Tensor, early_exit: bool):
+    """One batch's first-spike decisions (rate labels without ``early_exit``)
+    and the spikes charged to it. Time is the outer loop: the encoder raster
+    runs through every stage in blocks of 1, 2, 4, ... steps (one block
+    without ``early_exit``), each LIF population carrying its potential into
+    the next block. A sample's rows are dropped after the block that holds
+    its first output spike; samples that never fire run to T and take the
+    fallback. After a block that frees no sample the rest of the window runs
+    as one block. Eval-mode batch norm is affine per channel, so dropping
+    rows changes no other row.
+    """
     raster = model.encoder.unroll(images, training=False)[0].data
+    steps = len(raster)
     out = [None] * len(images)
+    exits = np.full(len(images), steps)
     live = np.arange(len(images))   # rows still running, in batch order
     state = {}                      # stage name -> potentials of the live rows
-    t, width = 0, 1
+    spikes, t, width = 0, 0, 1 if early_exit else steps
     while True:
         # a rest of at most two blocks of this width runs as one
-        n = len(raster) - t if t + 2 * width >= len(raster) else width
+        n = steps - t if t + 2 * width >= steps else width
         rows = live if len(live) < len(images) else slice(None)   # a view while all run
         frames = Tensor(raster[t : t + n, rows])
+        counts = _spike_counts(frames)
         for stage in (*model.stages, model.output):
             frames, trace = stage.unroll(frames, False, state.get(stage.name))
             if trace is not None:
                 state[stage.name] = trace.final.data
+            if stage.spiking:
+                counts += _spike_counts(frames)
         t += n
-        done = frames.data.any(axis=(0, 2)) | (t == len(raster))
-        if not done.any():     # no row left: run the rest in one block
-            width = len(raster)
+        done = frames.data.any(axis=(0, 2)) | (t == steps)
+        if not early_exit:
+            out = rate_decode(frames.data).tolist()
+        elif done.any():
+            decided = decode_batch(frames.data[:, done], trace.potentials.data[:, done],
+                                   first_step=t - n + 1)
+            for row, d in zip(live[done], decided):
+                out[row], exits[row] = d, d.exit_step
+        # each live row pays for the steps of this block up to its exit step
+        spikes += int(counts[np.arange(t - n + 1, t + 1)[:, None] <= exits[live]].sum())
+        if not done.any():     # no row exited: run the rest in one block
+            width = steps
             continue
-        decided = decode_batch(frames.data[:, done], trace.potentials.data[:, done],
-                               first_step=t - n + 1)
-        for row, d in zip(live[done], decided):
-            out[row] = d
         live = live[~done]
         if not len(live):
-            return out
+            return out, spikes
         state = {name: u[~done] for name, u in state.items()}
         width *= 2
 

@@ -10,7 +10,6 @@ from spikelat.autodiff import Tensor
 from spikelat.decoder import (
     Decision,
     decode_batch,
-    mean_exit_step,
     rate_decode,
 )
 from spikelat.errors import ContractError
@@ -162,11 +161,3 @@ class TestRateDecode:
         assert [d.label for d in decode_batch(spikes, pots)] == [0]
         assert rate_decode(spikes)[0] == 1
 
-
-class TestTimingMetrics:
-    def test_mean_exit_step(self):
-        ds = [Decision(0, 2, True, False), Decision(1, 4, True, False),
-              Decision(0, 3, False, False)]
-        assert mean_exit_step(ds) == 3.0
-        with pytest.raises(ContractError):
-            mean_exit_step([])

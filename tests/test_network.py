@@ -14,7 +14,7 @@ from spikelat.network import (
     build_model,
     preset_spec,
 )
-from spikelat.trainer import evaluate, predict
+from spikelat.trainer import evaluate
 
 
 def small_images(n=4, shape=(1, 8, 8), seed=0):
@@ -254,7 +254,7 @@ class TestEvalWithoutTape:
         made = self.results_made(monkeypatch)
         rec = model.forward(Tensor(ds.images), training=False)
         evaluate(model, ds, batch_size=8)
-        predict(model, ds, batch_size=8)
+        evaluate(model, ds, batch_size=8, decode="rate")
         assert rec.logits in made and rec.out_spikes in made
         assert all(t.parents == () and t._backward is None for t in made)
         made.clear()

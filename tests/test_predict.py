@@ -1,8 +1,9 @@
-"""Step-major early-exit prediction against the layer-major oracle.
+"""Step-major early-exit evaluation against the layer-major oracle.
 
-``trainer.predict`` must give exactly the decisions of ``Model.forward``
-plus ``decode_batch`` (what ``evaluate`` runs), while computing each sample
-only up to the block in which its first output spike falls.
+``trainer.evaluate`` must give exactly the decisions of ``Model.forward``
+plus ``decode_batch``, while computing each sample only up to the block in
+which its first output spike falls, and must charge each sample the spikes
+of the full-window record up to its exit step.
 """
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from spikelat.data import CORRUPTIONS, Dataset, corrupt, synth_blobs, synth_digi
 from spikelat.decoder import decode_batch
 from spikelat.errors import ContractError
 from spikelat.network import build_model, preset_spec
-from spikelat.trainer import TrainConfig, evaluate, predict, train
+from spikelat.trainer import TrainConfig, evaluate, train
 
 EVAL_COUNT = 100     # batch 32: three full batches and a partial one of 4
 BATCH = 32
@@ -50,29 +51,63 @@ def layer_major(model, ds, tiebreak):
     return decisions
 
 
+def exit_charged_sparsity(model, ds):
+    """Spikes of every spiking stage of the full-window record in steps 1 to
+    each sample's exit step, over the slot-steps of those steps, pooled."""
+    spikes = slots = 0
+    for start in range(0, len(ds), BATCH):
+        rec = model.forward(Tensor(ds.images[start : start + BATCH]))
+        exits = [d.exit_step for d in decode_batch(rec.out_spikes, rec.logits)]
+        for frames in rec.stage_spikes.values():
+            for row, step in enumerate(exits):
+                spikes += np.count_nonzero(frames[:step, row])
+                slots += frames[:step, row].size
+    return spikes / slots
+
+
 @pytest.mark.parametrize("tiebreak", ["spikers", "all"])
 @pytest.mark.parametrize("trained", [False, True])
 @pytest.mark.parametrize("preset", ["mlp-mini", "vgg-mini", "sew-mini"])
 def test_matches_layer_major_decisions(models, preset, trained, tiebreak):
     """The oracle decodes under either tiebreak: on a LIF readout both give
-    the decisions ``predict`` and ``evaluate`` make with the default."""
+    the decisions ``evaluate`` makes with the default, and the same scores."""
     model, ds = models[preset, trained]
     want = layer_major(model, ds, tiebreak)
-    assert predict(model, ds, BATCH) == want
-    assert evaluate(model, ds, BATCH).decisions == want
+    got = evaluate(model, ds, BATCH)
+    assert got.decisions == want
+    labels = np.array([d.label for d in want])
+    assert got.accuracy == float((labels == ds.labels).mean())
+    assert got.mean_exit == float(np.mean([d.exit_step for d in want]))
+    assert got.fallback_rate == float(np.mean([not d.spiked for d in want]))
+
+
+@pytest.mark.parametrize("trained", [False, True])
+@pytest.mark.parametrize("preset", ["mlp-mini", "vgg-mini", "sew-mini"])
+def test_sparsity_charges_each_sample_up_to_its_exit(models, preset, trained):
+    model, ds = models[preset, trained]
+    want = exit_charged_sparsity(model, ds)
+    for batch_size in (1, 32, 48, len(ds)):
+        got = evaluate(model, ds, batch_size).sparsity
+        assert abs(got - want) <= 1e-12, batch_size
+    # the whole-window readout charges every sample the whole window
+    whole = model.forward(Tensor(ds.images)).sparsity()
+    assert abs(evaluate(model, ds, BATCH, decode="rate").sparsity - whole) <= 1e-12
 
 
 def test_untrained_vgg_batch_is_all_fallback(models):
     model, ds = models["vgg-mini", False]
-    got = predict(model, ds, BATCH)
+    res = evaluate(model, ds, BATCH)
+    got = res.decisions
     assert not any(d.spiked for d in got)
     assert {d.exit_step for d in got} == {4}
     assert got == layer_major(model, ds, "spikers")
+    # every sample runs to T: the figure is the full-window record's
+    assert abs(res.sparsity - model.forward(Tensor(ds.images)).sparsity()) <= 1e-12
 
 
 def test_trained_sew_batch_exits_entirely_at_step_one(models):
     model, ds = models["sew-mini", True]
-    got = predict(model, ds, BATCH)
+    got = evaluate(model, ds, BATCH).decisions
     assert all(d.spiked and d.exit_step == 1 for d in got)
     assert got == layer_major(model, ds, "spikers")
 
@@ -80,8 +115,8 @@ def test_trained_sew_batch_exits_entirely_at_step_one(models):
 def test_batch_of_one_and_partial_last_batch(models):
     model, ds = models["vgg-mini", True]
     want = layer_major(model, ds, "spikers")
-    assert predict(model, ds, 1) == want
-    assert predict(model, ds, 48) == want      # batches of 48, 48 and 4
+    assert evaluate(model, ds, 1).decisions == want
+    assert evaluate(model, ds, 48).decisions == want      # batches of 48, 48 and 4
 
 
 def test_exited_rows_are_not_computed(models, monkeypatch):
@@ -97,7 +132,7 @@ def test_exited_rows_are_not_computed(models, monkeypatch):
         return real(frames, training, u0)
 
     monkeypatch.setattr(model.output, "unroll", counting)
-    assert predict(model, ds, len(ds)) == want
+    assert evaluate(model, ds, len(ds)).decisions == want
     # each block runs exactly the rows whose exit lies beyond its first step
     start = 0
     for steps, rows in seen:
@@ -110,18 +145,18 @@ def test_exited_rows_are_not_computed(models, monkeypatch):
 def test_empty_dataset_rejected(models):
     model, ds = models["mlp-mini", False]
     with pytest.raises(ContractError):
-        predict(model, Dataset(ds.images[:0], ds.labels[:0], ds.classes))
+        evaluate(model, Dataset(ds.images[:0], ds.labels[:0], ds.classes))
 
 
 def test_robustness_report_equals_evaluate_per_cell(models):
-    """Every figure is the layer-major ``1 - evaluate(...).accuracy``."""
+    """Every figure is one minus the accuracy of the layer-major decisions."""
     model, ds = models["sew-mini", True]
     seed = 3
     rep = robustness_eval(model, ds, batch_size=BATCH, seed=seed)
 
     def error(images):
-        return 1.0 - evaluate(model, Dataset(images, ds.labels, ds.classes),
-                              batch_size=BATCH).accuracy
+        got = layer_major(model, Dataset(images, ds.labels, ds.classes), "spikers")
+        return 1.0 - float((np.array([d.label for d in got]) == ds.labels).mean())
 
     cells = {(kind, s): error(corrupt(ds.images, kind, s,
                                       seed=seed + 131 * CORRUPTIONS.index(kind) + s))

@@ -10,6 +10,8 @@ from spikelat import trainer as trainer_module
 from spikelat.autodiff import Tensor
 from spikelat.data import Dataset, synth_blobs, synth_digits
 from spikelat.errors import ContractError, FormatError, NumericsError, TrainingAbort
+from spikelat.lif import LifConfig
+from spikelat.loss import temporal_weights
 from spikelat.network import Model, build_model, preset_spec
 from spikelat.trainer import (
     AdamW,
@@ -17,7 +19,6 @@ from spikelat.trainer import (
     cosine_lr,
     evaluate,
     load_checkpoint,
-    predict,
     read_checkpoint,
     save_checkpoint,
     train,
@@ -324,6 +325,27 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
         TrainConfig(loss="vanilla", tau=0.0)    # the vanilla loss never reads tau
+        TrainConfig(weight_decay=-0.01)          # only finiteness applies
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("setting", [
+        "TrainConfig.lr", "TrainConfig.tau", "TrainConfig.weight_decay",
+        "vanilla TrainConfig.tau", "LifConfig.v_th", "LifConfig.surrogate_width",
+        "LifConfig.tau_leak", "AdamW.lr", "temporal_weights.tau"])
+    def test_nonfinite_setting_is_rejected(self, setting, value):
+        make = {
+            "TrainConfig.lr": lambda v: TrainConfig(lr=v),
+            "TrainConfig.tau": lambda v: TrainConfig(tau=v),
+            "TrainConfig.weight_decay": lambda v: TrainConfig(weight_decay=v),
+            "vanilla TrainConfig.tau": lambda v: TrainConfig(loss="vanilla", tau=v),
+            "LifConfig.v_th": lambda v: LifConfig(v_th=v),
+            "LifConfig.surrogate_width": lambda v: LifConfig(surrogate_width=v),
+            "LifConfig.tau_leak": lambda v: LifConfig(tau_leak=v),
+            "AdamW.lr": lambda v: AdamW([], lr=v),
+            "temporal_weights.tau": lambda v: temporal_weights(Tensor(np.zeros((2, 3))), v),
+        }[setting]
+        with pytest.raises(ContractError):
+            make(value)
 
 
 class TestEvaluate:
@@ -351,18 +373,26 @@ class TestEvaluate:
     @pytest.mark.parametrize("decode", ["first", "rate"])
     def test_previous_batch_graph_is_freed(self, monkeypatch, decode):
         model, _, ev, _ = tiny_setup(seed=6)
-        logits, alive = [], []
-        real_forward = Model.forward
+        made, alive = [], []     # weak references to what each batch's pass made
+        real_encoder, real_output = model.encoder.unroll, model.output.unroll
 
-        def forward(self, images, training=False):
-            alive.extend(ref() is not None for ref in logits[-1:])
-            rec = real_forward(self, images, training)
-            logits.append(weakref.ref(rec.logits))
-            return rec
+        def encoder(images, training, u0=None):
+            # the next batch starts: nothing an earlier one made may be left
+            alive.extend(ref() is not None for batch in made for ref in batch)
+            frames, trace = real_encoder(images, training, u0)
+            made.append([weakref.ref(frames.data)])
+            return frames, trace
 
-        monkeypatch.setattr(Model, "forward", forward)
+        def output(frames, training, u0=None):
+            spikes, trace = real_output(frames, training, u0)
+            made[-1] += [weakref.ref(t) for t in (spikes, trace.potentials, trace.final)]
+            made[-1] += [weakref.ref(t.data) for t in (spikes, trace.potentials)]
+            return spikes, trace
+
+        monkeypatch.setattr(model.encoder, "unroll", encoder)
+        monkeypatch.setattr(model.output, "unroll", output)
         evaluate(model, ev, batch_size=16, decode=decode)
-        assert len(alive) == len(logits) - 1 > 0
+        assert len(made) > 1 and len(alive) >= 6 * (len(made) - 1)
         assert not any(alive)
 
     def test_empty_dataset_rejected(self):
@@ -415,6 +445,6 @@ class TestStageFiniteness:
             with pytest.raises(NumericsError, match=named):
                 evaluate(model, ds, batch_size=8)
             with pytest.raises(NumericsError, match=named):
-                predict(model, ds, batch_size=8)
+                evaluate(model, ds, batch_size=8, decode="rate")
             with pytest.raises(TrainingAbort, match=f"epoch 1 step 0: {named}"):
                 train(model, ds, ds, TrainConfig(epochs=1, batch_size=8))
