@@ -21,9 +21,10 @@ single spike in exactly one frame, so their matrix is the identity.
 Energy and similarity read one layer-major full-window forward record.
 The robustness sweep scores the model under five image corruptions at five
 severities; its summary is the unweighted mean error over all cells. Each
-cell's error is ``1 - trainer.evaluate(...).accuracy``, so each sample
-stops after the block of steps that holds its first output spike. The
-cells run serially in a fixed order, each with its own fixed seed.
+cell's error is ``1 - trainer.evaluate(...).accuracy``, so a sample whose
+output fires at step 1 runs no further and the rest run steps 2..T as
+one block. The cells run serially in a fixed order, each with its own
+fixed seed.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .data import CORRUPTIONS, Dataset, corrupt
 from .errors import ContractError
-from .network import Model, flops_conv, flops_fc  # noqa: F401  (count formulas)
+from .network import Model
 from .trainer import evaluate
 
 PLATFORM_SHARES = {

@@ -17,8 +17,9 @@ those checks, so each still sees them.
 
 Inside a :func:`no_grad` scope nothing is recorded: an op result keeps no
 parents and no backward closure, so each intermediate array is freed as
-soon as the caller drops it. Eval-mode passes run there; backward through
-such a result raises ``ContractError``.
+soon as the caller drops it. A pass run there is an eval-mode pass, and
+:func:`recording` is the one switch the model reads to tell which mode it is
+in; backward through such a result raises ``ContractError``.
 
 ``batchnorm2d`` keeps only its training branch: eval mode folds the running
 statistics into the conv before it (``network.ConvStage.drive``).
@@ -52,6 +53,11 @@ def no_grad():
         yield
     finally:
         _recording = outer
+
+
+def recording() -> bool:
+    """Whether op results are recorded on the tape: False inside :func:`no_grad`."""
+    return _recording
 
 
 class Tensor:

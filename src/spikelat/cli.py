@@ -28,7 +28,7 @@ from .analysis import (
     write_similarity_gnuplot,
 )
 from .autodiff import Tensor
-from .config import Config, load_config, snapshot
+from .config import load_config, section, snapshot
 from .data import load_idx, synth_blobs, synth_digits
 from .encoder import spike_time
 from .errors import ContractError, SpikelatError
@@ -44,7 +44,7 @@ from .trainer import (
 )
 
 
-def _synth(cfg: Config, count, seed):
+def _synth(cfg: dict, count, seed):
     source = cfg["data.source"]
     if source == "blobs":
         return synth_blobs(
@@ -64,7 +64,7 @@ def _synth(cfg: Config, count, seed):
     )
 
 
-def _idx_split(cfg: Config, split):
+def _idx_split(cfg: dict, split):
     images, labels = f"data.{split}_images", f"data.{split}_labels"
     for key in (images, labels):
         if not cfg[key]:
@@ -72,7 +72,7 @@ def _idx_split(cfg: Config, split):
     return load_idx(cfg[images], cfg[labels])
 
 
-def _train_datasets(cfg: Config):
+def _train_datasets(cfg: dict):
     if cfg["data.source"] == "idx":
         train = _idx_split(cfg, "train")
     else:
@@ -80,13 +80,13 @@ def _train_datasets(cfg: Config):
     return train, _eval_dataset(cfg)
 
 
-def _eval_dataset(cfg: Config):
+def _eval_dataset(cfg: dict):
     if cfg["data.source"] == "idx":
         return _idx_split(cfg, "eval")
     return _synth(cfg, cfg["data.eval_count"], cfg["data.seed"] + 1000)
 
 
-def _model_spec(cfg: Config, ds):
+def _model_spec(cfg: dict, ds):
     return preset_spec(
         cfg["model.preset"],
         input_shape=tuple(ds.images.shape[1:]),
@@ -95,20 +95,20 @@ def _model_spec(cfg: Config, ds):
         hidden=cfg["model.hidden"],
         width=cfg["model.width"],
         encoder_channels=cfg["model.encoder_channels"],
-        lif=LifConfig(**cfg.section("lif")),
+        lif=LifConfig(**section(cfg, "lif")),
     )
 
 
-def _default_run_dir(cfg: Config) -> Path:
+def _default_run_dir(cfg: dict) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     return Path("runs") / f"{cfg['model.preset']}-{stamp}-s{cfg['train.seed']}"
 
 
-def cmd_train(args, cfg: Config) -> int:
+def cmd_train(args, cfg: dict) -> int:
     train_ds, eval_ds = _train_datasets(cfg)
     spec = _model_spec(cfg, train_ds)
     model = build_model(spec, seed=cfg["model.seed"])
-    tcfg = TrainConfig(**cfg.section("train"))
+    tcfg = TrainConfig(**section(cfg, "train"))
     out = Path(args.out) if args.out else _default_run_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(snapshot(cfg))
@@ -122,7 +122,7 @@ def cmd_train(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_eval(args, cfg: Config) -> int:
+def cmd_eval(args, cfg: dict) -> int:
     ds = _eval_dataset(cfg)
     spec = _model_spec(cfg, ds)
     model = load_checkpoint(args.checkpoint, spec, seed=cfg["model.seed"])
@@ -139,7 +139,7 @@ def cmd_eval(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_analyze(args, cfg: Config) -> int:
+def cmd_analyze(args, cfg: dict) -> int:
     if cfg["analyze.batch"] < 1:
         raise ContractError(f"analyze.batch must be >= 1, got {cfg['analyze.batch']}")
     ds = _eval_dataset(cfg)
@@ -179,7 +179,7 @@ def cmd_analyze(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_encode_demo(args, cfg: Config) -> int:
+def cmd_encode_demo(args, cfg: dict) -> int:
     ds = _eval_dataset(cfg)
     if not 0 <= args.index < len(ds):
         raise ContractError(

@@ -116,27 +116,10 @@ def _convert(key: ConfigKey, raw: str, where: str):
     return value
 
 
-class Config:
-    """Resolved values for every registry key; indexable by dotted name."""
-
-    def __init__(self, values):
-        self._values = dict(values)
-
-    def __getitem__(self, name):
-        if name not in _BY_NAME:
-            raise KeyError(f"unknown config key {name!r}")
-        return self._values[name]
-
-    def __eq__(self, other):
-        return isinstance(other, Config) and self._values == other._values
-
-    def items(self):
-        return sorted(self._values.items())
-
-    def section(self, prefix):
-        """The ``prefix.*`` values keyed by the rest of their names."""
-        return {name[len(prefix) + 1:]: value for name, value in self._values.items()
-                if name.startswith(prefix + ".")}
+def section(cfg, prefix):
+    """The ``prefix.*`` values keyed by the rest of their names."""
+    return {name[len(prefix) + 1:]: value for name, value in cfg.items()
+            if name.startswith(prefix + ".")}
 
 
 def _parse_pairs(text, where_prefix):
@@ -155,8 +138,9 @@ def _parse_pairs(text, where_prefix):
     return pairs
 
 
-def load_config(path=None, overrides=()) -> Config:
-    """Defaults, then the file (if given), then --set overrides, in order."""
+def load_config(path=None, overrides=()) -> dict:
+    """Defaults, then the file (if given), then --set overrides, in order:
+    a value for every registry key, keyed by its dotted name."""
     values = {k.name: k.default for k in REGISTRY}
 
     pairs = []
@@ -176,13 +160,13 @@ def load_config(path=None, overrides=()) -> Config:
         if key is None:
             raise FormatError(f"{where}: unknown key {name!r}")
         values[name] = _convert(key, raw, where)
-    return Config(values)
+    return values
 
 
-def snapshot(cfg: Config) -> str:
+def snapshot(cfg: dict) -> str:
     """Canonical text form of a resolved configuration; stable bytes."""
     lines = []
-    for name, value in cfg.items():
+    for name, value in sorted(cfg.items()):
         if isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, float):

@@ -13,10 +13,12 @@ is layer-major and time-major: each stage maps its predecessor's (T, N, ...)
 raster to its own, which for a feedforward wiring equals stepping the net
 through time. Convolutions, linear maps and pooling run once on the folded
 (T*N, ...) batch; only the membrane recurrence steps through time, in one
-fused LIF node per population. Only a training pass is recorded on the
-tape: an eval pass runs under ``autodiff.no_grad``, so each stage's arrays
-are freed once the next stage has them, and its batch norm is folded into
-the conv before it.
+fused LIF node per population. The tape is the one train/eval switch: a
+stage run while ``autodiff.recording()`` is true is in training mode, and
+one run under ``autodiff.no_grad`` is in eval mode, where each stage's
+arrays are freed once the next stage has them and its batch norm is folded
+into the conv before it. ``Model.forward``'s ``training`` flag only says
+whether it opens that scope.
 
 The encoder is a conv stage whose drive feeds a sigmoid and the latency
 code instead of a LIF population. The output stage is a spiking linear
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (_BN_EPS, Tensor, _conv_geometry, avg_pool2d, batchnorm2d,
-                       check_finite, conv2d, linear, no_grad, sigmoid)
+                       check_finite, conv2d, linear, no_grad, recording, sigmoid)
 from .data import seeded_rng
 from .encoder import latency_encode
 from .errors import ShapeError, SpecError
@@ -164,11 +166,12 @@ class Stage:
     (per sample, without batch), ``flops`` (connections per sample per
     presentation, what the energy model charges) and whether it is
     ``spiking``, i.e. emits the spike-valued frames a forward record keeps.
-    ``unroll(frames, training, u0=None)`` maps its predecessor's (T, N, ...)
-    tensor to its own and returns it with its population's ``LifTrace``, or
-    None for a stage without one; a population starts from rest, or from
-    ``u0``, an earlier run's ``final`` potential, so a stage can also be
-    stepped through time a block of frames at a time.
+    ``unroll(frames, u0=None)`` maps its predecessor's (T, N, ...) tensor to
+    its own and returns it with its population's ``LifTrace``, or None for a
+    stage without one; a population starts from rest, or from ``u0``, an
+    earlier run's ``final`` potential, so a stage can also be stepped through
+    time a block of frames at a time. It runs in training mode while the
+    tape records (``autodiff.recording()``) and in eval mode without it.
     """
 
     spiking = True
@@ -205,29 +208,30 @@ class ConvStage(Stage):
         self.running_var = np.ones(layer.out)
         self.lif = lif
 
-    def drive(self, frames, training):
+    def drive(self, frames):
         """Conv then batch norm of (N, ...) images or (T, N, ...) frames,
         checked for NaN and Inf: what follows a drive could hide them.
 
-        In eval mode the batch norm is affine per channel, so it folds into
-        the conv (Jacob et al., CVPR 2018): one conv on the kernel scaled by
-        gamma/sqrt(running_var+eps), then the shift beta - running_mean*scale.
+        While the tape records, the batch norm uses batch statistics and
+        updates the running buffers. Without it (eval mode) the batch norm
+        is affine per channel, so it folds into the conv (Jacob et al., CVPR
+        2018): one conv on the kernel scaled by gamma/sqrt(running_var+eps),
+        then the shift beta - running_mean*scale.
         """
-        if training:
+        if recording():
             h = batchnorm2d(conv2d(frames, self.k, pad=LayerSpec.pad), self.gamma,
                             self.beta, self.running_mean, self.running_var)
         else:
-            with no_grad():     # eval mode is not differentiable
-                scale = self.gamma.data / np.sqrt(self.running_var + _BN_EPS)
-                # a result of k and gamma, not a leaf: the check below names the stage
-                folded = Tensor(self.k.data * scale[:, None, None, None],
-                                (self.k, self.gamma), "bn_fold")
-                h = conv2d(frames, folded, pad=LayerSpec.pad)
+            scale = self.gamma.data / np.sqrt(self.running_var + _BN_EPS)
+            # a result of k and gamma, not a leaf: the check below names the stage
+            folded = Tensor(self.k.data * scale[:, None, None, None],
+                            (self.k, self.gamma), "bn_fold")
+            h = conv2d(frames, folded, pad=LayerSpec.pad)
             h.data += (self.beta.data - self.running_mean * scale)[:, None, None]
         return check_finite(h, f"stage '{self.name}'")
 
-    def unroll(self, frames, training, u0=None):
-        trace = lif_unroll(self.drive(frames, training), self.lif, u0)
+    def unroll(self, frames, u0=None):
+        trace = lif_unroll(self.drive(frames), self.lif, u0)
         return trace.spikes, trace
 
     def parameters(self):
@@ -246,18 +250,18 @@ class EncoderStage(ConvStage):
         super().__init__(name, in_shape, LayerSpec("conv", out=channels), None, rng)
         self.timesteps = timesteps
 
-    def encode(self, images, training):
+    def encode(self, images):
         """Returns (the (T, N, C, H, W) spike raster, the analog features)."""
-        f = sigmoid(self.drive(images, training))
+        f = sigmoid(self.drive(images))
         return latency_encode(f, self.timesteps), f
 
-    def unroll(self, images, training, u0=None):
+    def unroll(self, images, u0=None):
         if images.ndim != 4 or tuple(images.shape[1:]) != self.in_shape:
             raise ShapeError(
                 f"expected images (N, {', '.join(map(str, self.in_shape))}),"
                 f" got {images.shape}"
             )
-        frames, _ = self.encode(images, training)
+        frames, _ = self.encode(images)
         return frames, None
 
 
@@ -275,8 +279,8 @@ class SewStage(ConvStage):
         if in_shape[0] != layer.out:
             raise SpecError(f"{name}: residual block needs matching channels, have {in_shape}")
 
-    def unroll(self, frames, training, u0=None):
-        branch, trace = super().unroll(frames, training, u0)
+    def unroll(self, frames, u0=None):
+        branch, trace = super().unroll(frames, u0)
         return branch + frames, trace
 
 
@@ -293,7 +297,7 @@ class PoolStage(Stage):
         super().__init__(name, in_shape, (c, h // layer.pool, w // layer.pool))
         self.size = layer.pool
 
-    def unroll(self, frames, training, u0=None):
+    def unroll(self, frames, u0=None):
         return avg_pool2d(frames, self.size), None
 
 
@@ -304,7 +308,7 @@ class FlattenStage(Stage):
     def __init__(self, name, in_shape, layer, lif, rng):
         super().__init__(name, in_shape, (int(np.prod(in_shape)),))
 
-    def unroll(self, frames, training, u0=None):
+    def unroll(self, frames, u0=None):
         return frames.reshape(frames.shape[:2] + self.out_shape), None
 
 
@@ -322,7 +326,7 @@ class LinearStage(Stage):
         self.b = Tensor(np.zeros(layer.out))
         self.lif = lif
 
-    def unroll(self, frames, training, u0=None):
+    def unroll(self, frames, u0=None):
         drive = check_finite(linear(frames, self.w, self.b), f"stage '{self.name}'")
         trace = lif_unroll(drive, self.lif, u0)
         return trace.spikes, trace
@@ -351,7 +355,7 @@ class Model:
         record_frames = {}
         with nullcontext() if training else no_grad():
             for stage in self.audit:
-                frames, trace = stage.unroll(frames, training)
+                frames, trace = stage.unroll(frames)
                 if stage.spiking:
                     record_frames[stage.name] = frames.data
                 if trace is not None:

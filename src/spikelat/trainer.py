@@ -8,8 +8,9 @@ seed, so two identical runs produce byte-identical metrics and checkpoint
 files (nothing time-dependent is ever written into an artifact).
 
 ``evaluate`` is the one pass that scores data (per epoch, ``spikelat eval``,
-the robustness sweep): step-major, each sample stopping at the block of
-steps that holds its first output spike.
+the robustness sweep). It runs without a tape, step-major: step 1 for the
+whole batch, then steps 2..T as one block for the samples whose output did
+not fire at step 1.
 
 Checkpoints are a flat little-endian container of named float32 arrays:
 magic "SPKL", u32 version, u32 count, then per array a length-prefixed
@@ -92,7 +93,8 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss not in LOSSES:
-            raise ContractError(f"loss must be 'tad' or 'vanilla', got {self.loss!r}")
+            raise ContractError(f"loss must be {' or '.join(map(repr, LOSSES))},"
+                                f" got {self.loss!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be >= 1")
         check_positive("lr", self.lr)
@@ -118,11 +120,11 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first") -> EvalRe
 
     ``sparsity`` charges each sample the spikes of every spiking stage, the
     encoder included, in steps 1 through its exit step, as a share of those
-    slot-steps pooled over the set. Steps a block ran past a sample's exit
-    are not charged, so the figure does not depend on the batch size.
+    slot-steps pooled over the set. Steps run past a sample's exit are not
+    charged, so the figure does not depend on the batch size.
     """
     if decode not in DECODE_MODES:
-        raise ContractError("decode must be 'first' or 'rate'")
+        raise ContractError(f"decode must be {' or '.join(map(repr, DECODE_MODES))}")
     if len(ds) == 0:
         raise ContractError("evaluate needs at least one image")
     _keep_freed_step_memory()
@@ -151,52 +153,46 @@ def _spike_counts(frames):
 def _step_major(model: Model, images: Tensor, early_exit: bool):
     """One batch's first-spike decisions (rate labels without ``early_exit``)
     and the spikes charged to it. Time is the outer loop: the encoder raster
-    runs through every stage in blocks of 1, 2, 4, ... steps (one block
-    without ``early_exit``), each LIF population carrying its potential into
-    the next block. A sample's rows are dropped after the block that holds
-    its first output spike; samples that never fire run to T and take the
-    fallback. After a block that frees no sample the rest of the window runs
-    as one block. Eval-mode batch norm is affine per channel, so dropping
-    rows changes no other row.
+    runs through every stage for step 1 over the whole batch, then for steps
+    2..T over the rows whose output did not fire at step 1, each LIF
+    population carrying its potential into the second block. Without
+    ``early_exit`` the window runs as one block. Rows that never fire take
+    the fallback at T. Eval-mode batch norm is affine per channel, so
+    dropping rows changes no other row.
     """
-    raster = model.encoder.unroll(images, training=False)[0].data
+    raster = model.encoder.unroll(images)[0].data
     steps = len(raster)
     out = [None] * len(images)
     exits = np.full(len(images), steps)
     live = np.arange(len(images))   # rows still running, in batch order
     state = {}                      # stage name -> potentials of the live rows
-    spikes, t, width = 0, 0, 1 if early_exit else steps
-    while True:
-        # a rest of at most two blocks of this width runs as one
-        n = steps - t if t + 2 * width >= steps else width
+    spikes = 0
+    bounds = (0, 1, steps) if early_exit and steps > 1 else (0, steps)
+    for start, stop in zip(bounds, bounds[1:]):
+        if not len(live):
+            break
         rows = live if len(live) < len(images) else slice(None)   # a view while all run
-        frames = Tensor(raster[t : t + n, rows])
+        frames = Tensor(raster[start:stop, rows])
         counts = _spike_counts(frames)
         for stage in (*model.stages, model.output):
-            frames, trace = stage.unroll(frames, False, state.get(stage.name))
+            frames, trace = stage.unroll(frames, state.get(stage.name))
             if trace is not None:
                 state[stage.name] = trace.final.data
             if stage.spiking:
                 counts += _spike_counts(frames)
-        t += n
-        done = frames.data.any(axis=(0, 2)) | (t == steps)
+        done = frames.data.any(axis=(0, 2)) | (stop == steps)
         if not early_exit:
             out = rate_decode(frames.data).tolist()
         elif done.any():
             decided = decode_batch(frames.data[:, done], trace.potentials.data[:, done],
-                                   first_step=t - n + 1)
+                                   first_step=start + 1)
             for row, d in zip(live[done], decided):
                 out[row], exits[row] = d, d.exit_step
-        # each live row pays for the steps of this block up to its exit step
-        spikes += int(counts[np.arange(t - n + 1, t + 1)[:, None] <= exits[live]].sum())
-        if not done.any():     # no row exited: run the rest in one block
-            width = steps
-            continue
-        live = live[~done]
-        if not len(live):
-            return out, spikes
-        state = {name: u[~done] for name, u in state.items()}
-        width *= 2
+            live = live[~done]
+            state = {name: u[~done] for name, u in state.items()}
+        # each row pays for the steps of this block up to its exit step
+        spikes += int(counts[np.arange(start + 1, stop + 1)[:, None] <= exits[rows]].sum())
+    return out, spikes
 
 
 @dataclass

@@ -8,8 +8,6 @@ from spikelat.analysis import (
     RobustnessReport,
     energy_ann,
     energy_snn,
-    flops_conv,
-    flops_fc,
     model_energy,
     normalized_energy,
     robustness_eval,
@@ -23,7 +21,7 @@ from spikelat.autodiff import Tensor
 from spikelat.data import synth_blobs
 from spikelat.encoder import latency_encode
 from spikelat.errors import ContractError
-from spikelat.network import build_model, preset_spec
+from spikelat.network import build_model, flops_conv, flops_fc, preset_spec
 
 
 class TestFlopCounts:

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,8 @@ class TestForwardValues:
         stage = delta_stage(1)
         stage.gamma.data[...], stage.beta.data[...] = 2.0, 1.0
         stage.running_mean[...], stage.running_var[...] = 5.0, 4.0
-        out = stage.drive(Tensor(np.full((2, 1, 2, 2), 7.0)), training=False)
+        with no_grad():
+            out = stage.drive(Tensor(np.full((2, 1, 2, 2), 7.0)))
         expect = 2.0 * (7.0 - 5.0) / np.sqrt(4.0 + 1e-5) + 1.0
         np.testing.assert_allclose(out.data, expect, rtol=1e-12)
         np.testing.assert_allclose(stage.running_mean, [5.0])
@@ -183,7 +186,8 @@ class TestForwardValues:
         stage.running_mean[...] = rng.normal(scale=2.0, size=4)
         stage.running_var[...] = rng.uniform(0.1, 3.0, 4)
         x = (rng.random(size=(2, 5, 3, 6, 6)) < 0.4).astype(float)
-        got = stage.drive(Tensor(x), training=False).data
+        with no_grad():
+            got = stage.drive(Tensor(x)).data
         h = conv2d(Tensor(x), stage.k, pad=1).data
         per_channel = (slice(None), None, None)
         rm, rv = stage.running_mean[per_channel], stage.running_var[per_channel]
@@ -395,7 +399,8 @@ class TestErrorHandling:
             if training:
                 batchnorm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), np.zeros(2), np.ones(2))
             else:   # eval mode is folded into the conv, which rejects it
-                delta_stage(2).drive(x, training=False)
+                with no_grad():
+                    delta_stage(2).drive(x)
 
     def test_pool_indivisible_raises(self):
         with pytest.raises(ShapeError):
@@ -622,9 +627,10 @@ class TestTimeMajor:
         rm0 = stage.running_mean.copy()
 
         block = Tensor(x)
-        out = stage.drive(block, training)
         steps = [Tensor(xt) for xt in x]
-        outs = [ref.drive(s, training) for s in steps]
+        with nullcontext() if training else no_grad():
+            out = stage.drive(block)
+            outs = [ref.drive(s) for s in steps]
         assert np.array_equal(out.data, np.stack([o.data for o in outs]))
         assert np.array_equal(stage.running_mean, ref.running_mean)
         assert np.array_equal(stage.running_var, ref.running_var)

@@ -1,6 +1,6 @@
 import pytest
 
-from spikelat.config import Config, load_config, snapshot
+from spikelat.config import load_config, snapshot
 from spikelat.errors import FormatError
 
 

@@ -92,21 +92,21 @@ class TestLatencyEncoderHead:
     def test_features_lie_strictly_inside_unit_interval(self):
         enc = self.stage((1, 6, 6), 4, timesteps=8, seed=4)
         imgs = Tensor(np.random.default_rng(4).normal(size=(2, 1, 6, 6)))
-        _, f = enc.encode(imgs, training=True)
+        _, f = enc.encode(imgs)
         assert np.all(f.data > 0.0)
         assert np.all(f.data < 1.0)
 
     def test_encode_emits_one_spike_per_feature(self):
         enc = self.stage((2, 5, 5), 3, timesteps=6, seed=5)
         imgs = Tensor(np.random.default_rng(5).normal(size=(4, 2, 5, 5)))
-        spikes, f = enc.encode(imgs, training=True)
+        spikes, f = enc.encode(imgs)
         total = sum(s.data for s in spikes)
         np.testing.assert_array_equal(total, np.ones_like(f.data))
 
     def test_gradient_reaches_conv_kernel(self):
         enc = self.stage((1, 4, 4), 2, timesteps=4, seed=6)
         imgs = Tensor(np.random.default_rng(6).normal(size=(3, 1, 4, 4)))
-        spikes, _ = enc.unroll(imgs, training=True)
+        spikes, _ = enc.unroll(imgs)
         loss = spikes[0].sum()
         for s in spikes[1:]:
             loss = loss + (s * s).sum()
@@ -123,7 +123,7 @@ class TestLatencyEncoderHead:
 
         def build(t):
             enc.k = t
-            _, f = enc.encode(Tensor(imgs), training=True)
+            _, f = enc.encode(Tensor(imgs))
             return (f * Tensor(c)).sum()
 
         check_grad(build, k0)

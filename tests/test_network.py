@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spikelat.autodiff import Tensor, batchnorm2d, conv2d
+from spikelat.autodiff import Tensor, batchnorm2d, conv2d, no_grad
 from spikelat.data import synth_digits
 from spikelat.errors import ContractError, ShapeError, SpecError
 from spikelat.lif import LifConfig
@@ -185,6 +185,22 @@ class TestForward:
         model.forward(small_images(3, (1, 16, 16), seed=9), training=False)
         np.testing.assert_array_equal(model.stages[0].running_mean, before)
 
+    def test_running_buffers_move_exactly_while_the_tape_records(self):
+        spec = preset_spec("sew-mini", (1, 16, 16), classes=4, timesteps=3)
+        model = build_model(spec, seed=5)
+        rng = np.random.default_rng(2)
+        conv_stages = [s for s in model.audit if s.buffers()]
+        assert [s.kind for s in conv_stages] == ["conv", "conv", "conv", "sew"]
+        for stage in conv_stages:
+            x = Tensor(rng.random(size=(3, 2) + stage.in_shape))
+            before = [b.copy() for _, b in stage.buffers()]
+            with no_grad():
+                stage.drive(x)
+            assert all(np.array_equal(b, b0) for (_, b), b0 in zip(stage.buffers(), before))
+            stage.drive(x)
+            assert not any(np.array_equal(b, b0)
+                           for (_, b), b0 in zip(stage.buffers(), before))
+
     def test_running_stats_update_once_per_timestep(self):
         """A T=3 conv stage leaves the buffers T step-order batchnorm calls leave."""
         spec = preset_spec("vgg-mini", (1, 16, 16), classes=4, timesteps=3)
@@ -195,7 +211,7 @@ class TestForward:
             buf[...] = rng.uniform(0.5, 1.5, size=buf.shape)
         mean0, var0 = stage.running_mean.copy(), stage.running_var.copy()
         frames = (rng.random(size=(3, 5) + stage.in_shape) < 0.3).astype(float)
-        stage.unroll(Tensor(frames), training=True)
+        stage.unroll(Tensor(frames))
 
         mean, var = mean0.copy(), var0.copy()
         for x in frames:

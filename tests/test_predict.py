@@ -119,19 +119,25 @@ def test_batch_of_one_and_partial_last_batch(models):
     assert evaluate(model, ds, 48).decisions == want      # batches of 48, 48 and 4
 
 
+def _output_blocks(model, monkeypatch):
+    """The (steps, rows) of every block the readout runs from now on."""
+    seen = []
+    real = model.output.unroll
+
+    def counting(frames, u0=None):
+        seen.append(frames.shape[:2])
+        return real(frames, u0)
+
+    monkeypatch.setattr(model.output, "unroll", counting)
+    return seen
+
+
 def test_exited_rows_are_not_computed(models, monkeypatch):
     model, ds = models["vgg-mini", True]
     want = layer_major(model, ds, "spikers")
     exits = np.array([d.exit_step for d in want])
     assert exits.min() == 1 and exits.max() > 2      # exits spread over the window
-    seen = []
-    real = model.output.unroll
-
-    def counting(frames, training, u0=None):
-        seen.append(frames.shape[:2])
-        return real(frames, training, u0)
-
-    monkeypatch.setattr(model.output, "unroll", counting)
+    seen = _output_blocks(model, monkeypatch)
     assert evaluate(model, ds, len(ds)).decisions == want
     # each block runs exactly the rows whose exit lies beyond its first step
     start = 0
@@ -140,6 +146,37 @@ def test_exited_rows_are_not_computed(models, monkeypatch):
         start += steps
     assert start == model.spec.timesteps
     assert seen[-1][1] < seen[0][1] == len(ds)
+
+
+def _some_fire_at_step_one():
+    """An untrained T=8 mlp-mini with its encoder shifted to emit early
+    spikes and its readout bias shifted so that a quarter of the eval rows
+    fire at step 1; from rest, the step-1 potential is the drive."""
+    spec, _, ds = _setting("mlp-mini")
+    model = build_model(spec, seed=0)
+    model.encoder.beta.data += 2.0
+    top = np.sort(model.forward(Tensor(ds.images)).logits.data[0].max(axis=1))
+    cut = 3 * len(top) // 4
+    model.output.b.data += spec.lif.v_th - (top[cut - 1] + top[cut]) / 2
+    return model, ds
+
+
+def test_step_one_then_the_rest_in_one_block(monkeypatch):
+    model, ds = _some_fire_at_step_one()
+    want = layer_major(model, ds, "spikers")
+    exits = np.array([d.exit_step for d in want])
+    survivors = np.count_nonzero(exits > 1)
+    assert 0 < survivors < len(ds) and exits.max() > 3    # exits spread over the window
+    seen = _output_blocks(model, monkeypatch)
+    assert evaluate(model, ds, len(ds)).decisions == want
+    assert seen == [(1, len(ds)), (7, survivors)]
+
+
+def test_rate_decoding_runs_one_whole_window_block(monkeypatch):
+    model, ds = _some_fire_at_step_one()
+    seen = _output_blocks(model, monkeypatch)
+    evaluate(model, ds, len(ds), decode="rate")
+    assert seen == [(8, len(ds))]
 
 
 def test_empty_dataset_rejected(models):

@@ -376,15 +376,15 @@ class TestEvaluate:
         made, alive = [], []     # weak references to what each batch's pass made
         real_encoder, real_output = model.encoder.unroll, model.output.unroll
 
-        def encoder(images, training, u0=None):
+        def encoder(images, u0=None):
             # the next batch starts: nothing an earlier one made may be left
             alive.extend(ref() is not None for batch in made for ref in batch)
-            frames, trace = real_encoder(images, training, u0)
+            frames, trace = real_encoder(images, u0)
             made.append([weakref.ref(frames.data)])
             return frames, trace
 
-        def output(frames, training, u0=None):
-            spikes, trace = real_output(frames, training, u0)
+        def output(frames, u0=None):
+            spikes, trace = real_output(frames, u0)
             made[-1] += [weakref.ref(t) for t in (spikes, trace.potentials, trace.final)]
             made[-1] += [weakref.ref(t.data) for t in (spikes, trace.potentials)]
             return spikes, trace
