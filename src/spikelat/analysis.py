@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .data import CORRUPTIONS, Dataset, corrupt
 from .errors import ContractError
 from .network import Model
@@ -168,18 +169,19 @@ def write_energy_csv(path, report: EnergyReport):
 
 
 def temporal_similarity(frames) -> np.ndarray:
-    """(T, T) mean cosine between per-sample activity vectors across steps.
+    """(T, T) mean cosine between per-sample activity vectors across steps,
+    from a (T, N, ...) tensor or array of frames.
 
     A pair involving an all-zero vector contributes 0. The cosine uses
     dot / sqrt(|a|^2 * |b|^2); on the diagonal that square root is exact,
     so self-similarity of any active vector is exactly 1.0.
     """
-    frames = [np.asarray(getattr(f, "data", f), dtype=np.float64)
-              for f in frames]
-    if not frames:
-        raise ContractError("temporal_similarity needs at least one step")
-    n = frames[0].shape[0]
-    v = np.stack([f.reshape(n, -1) for f in frames])   # (T, N, D)
+    v = np.asarray(frames.data if isinstance(frames, Tensor) else frames,
+                   dtype=np.float64)
+    if v.ndim < 2 or v.shape[0] == 0 or v.shape[1] == 0:
+        raise ContractError("temporal_similarity needs (T, N, ...) frames with"
+                            f" T, N >= 1, got shape {v.shape}")
+    v = v.reshape(len(v), v.shape[1], -1)              # (T, N, D)
     dots = np.einsum("ind,jnd->ijn", v, v)             # (T, T, N)
     # squared norms taken off the diagonal of the same sums, so a vector's
     # self-dot and its norm agree to the bit

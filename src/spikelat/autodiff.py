@@ -10,8 +10,8 @@ including every use of a shared weight.
 The graph is rebuilt on every forward pass; nothing is cached between runs.
 All arithmetic is in 64-bit floats. NaN and Inf are an error state that
 raises :class:`~spikelat.errors.NumericsError`, but op results are not
-scanned one by one: a leaf (images, parameters, ``detach``) is checked when
-it is made, and the model checks one array per stage and the loss with
+scanned one by one: a leaf (images, parameters) is checked when it is
+made, and the model checks one array per stage and the loss with
 :func:`check_finite`. NaN and Inf propagate through the arithmetic between
 those checks, so each still sees them.
 
@@ -38,7 +38,6 @@ import numpy as np
 from .errors import ContractError, GraphError, NumericsError, ShapeError
 
 _ids = itertools.count()
-_LEAF_OPS = ("leaf", "detach")
 _recording = True   # False inside no_grad()
 
 
@@ -119,10 +118,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """A leaf tensor sharing this node's values; gradients stop here."""
-        return Tensor(self.data, op="detach")
-
     def backward(self):
         """Reverse accumulation from this scalar node.
 
@@ -140,7 +135,7 @@ class Tensor:
         nodes, stack = {self.id: self}, [self]
         while stack:
             node = stack.pop()
-            if not node.parents and node.op not in _LEAF_OPS:
+            if not node.parents and node.op != "leaf":
                 raise ContractError(f"op '{node.op}' ran without a tape (no_grad);"
                                     " it has no gradient to give")
             for p in node.parents:
@@ -244,23 +239,6 @@ def check_finite(t: Tensor, where: str) -> Tensor:
     if not np.isfinite(t.data).all():
         raise NumericsError(f"non-finite values in {where} (op '{t.op}')")
     return t
-
-
-def stack(tensors) -> Tensor:
-    """Stack same-shape tensors along a new axis 0."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ContractError("stack of an empty sequence")
-    shape = tensors[0].data.shape
-    for t in tensors[1:]:
-        if t.data.shape != shape:
-            raise ShapeError("stack: member shapes differ")
-
-    def bw(g, members=tuple(tensors)):
-        for i, m in enumerate(members):
-            m.accumulate(g[i])
-
-    return Tensor(np.stack([t.data for t in tensors]), tuple(tensors), "stack", bw)
 
 
 # -- neural-net primitives --------------------------------------------------

@@ -36,6 +36,7 @@ from .lif import LifConfig
 from .network import build_model, preset_spec
 from .trainer import (
     TrainConfig,
+    check_datasets,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -109,6 +110,7 @@ def cmd_train(args, cfg: dict) -> int:
     spec = _model_spec(cfg, train_ds)
     model = build_model(spec, seed=cfg["model.seed"])
     tcfg = TrainConfig(**section(cfg, "train"))
+    check_datasets(model, train_ds, eval_ds)
     out = Path(args.out) if args.out else _default_run_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(snapshot(cfg))

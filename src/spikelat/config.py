@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .decoder import TIEBREAKS
 from .errors import FormatError
 from .lif import LifConfig
 from .network import PRESETS
@@ -62,8 +61,8 @@ REGISTRY = [
     ConfigKey("model.seed", int, 0),
     *_fields("lif", LifConfig),
     *_fields("train", TrainConfig, loss=LOSSES),
-    # accepted so older snapshots still load; no effect (decoder.py says why)
-    ConfigKey("decode.tiebreak", str, "spikers", TIEBREAKS),
+    # accepted so older snapshots still load; no effect: the decoder has one rule
+    ConfigKey("decode.tiebreak", str, "spikers", ("spikers", "all")),
     ConfigKey("decode.mode", str, "first", DECODE_MODES),
     ConfigKey("analyze.batch", int, 64),
     ConfigKey("analyze.robustness", bool, True),

@@ -5,16 +5,12 @@ whichever output neuron fires earliest, and the firing step is the
 network's exit time. Two things can muddy that rule, and both are resolved
 explicitly and flagged on the result:
 
-* several neurons fire on the same step: the one with the highest pre-reset
-  potential at that step wins. By default only the simultaneous spikers
-  compete; ``tiebreak="all"`` lets every neuron's potential compete.
+* several neurons fire on the same step: of those spikers, the one with the
+  highest pre-reset potential at that step wins.
 * no output neuron fires inside the window: fall back to the highest
-  potential at the final step, with the exit time pinned to the window end.
+  potential at the final step, over every neuron, with the exit time pinned
+  to the window end.
 
-The two tiebreaks agree on any LIF readout: a LIF neuron fires exactly when
-its pre-reset potential reaches threshold, so at the first firing step every
-spiker's potential is above every silent neuron's. They differ only on
-rasters a LIF population cannot produce, and the package uses the default.
 Exact potential ties resolve to the lowest class index and are flagged. A
 rate readout (most spikes wins) is kept alongside for comparison runs.
 """
@@ -24,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import ContractError
-
-TIEBREAKS = ("spikers", "all")
 
 
 @dataclass(frozen=True)
@@ -37,30 +32,22 @@ class Decision:
     tied: bool         # an exact potential tie was broken by index
 
 
-def _values(a):
-    """A tensor's array, or the value itself (an ndarray's ``.data`` is its buffer)."""
-    return a if isinstance(a, np.ndarray) else getattr(a, "data", a)
+def _frames(a) -> np.ndarray:
+    """The float64 values of a (T, N, C) tensor or array with T >= 1."""
+    a = a.data if isinstance(a, Tensor) else a
+    if not isinstance(a, np.ndarray) or a.ndim != 3 or len(a) == 0:
+        raise ContractError("decoding needs a (T, N, C) tensor or array with T >= 1,"
+                            f" got {getattr(a, 'shape', type(a).__name__)}")
+    return a.astype(np.float64, copy=False)
 
 
-def _frames(seq):
-    """(T, N, C) array of a (T, N, C) tensor or array, or of (N, C) steps."""
-    frames = [np.asarray(_values(a), dtype=np.float64) for a in _values(seq)]
-    if not frames:
-        raise ContractError("decoding needs at least one timestep")
-    if any(f.shape != frames[0].shape or f.ndim != 2 for f in frames):
-        raise ContractError("per-step arrays must share one (N, C) shape")
-    return np.stack(frames)
-
-
-def decode_batch(spikes, potentials, tiebreak: str = "spikers", first_step=1):
+def decode_batch(spikes, potentials, *, first_step=1):
     """First-spike decisions for a batch.
 
-    ``spikes`` and ``potentials`` are (T, N, C) tensors or arrays, or step
-    sequences of (N, C) ones; spike values count as firing when positive.
-    Exit steps count from ``first_step``, the number of the first step given.
+    ``spikes`` and ``potentials`` are (T, N, C) tensors or arrays; spike
+    values count as firing when positive. Exit steps count from
+    ``first_step``, the number of the first step given.
     """
-    if tiebreak not in TIEBREAKS:
-        raise ContractError(f"tiebreak must be one of {TIEBREAKS}")
     fired, u = _frames(spikes) > 0, _frames(potentials)    # (T, N, C)
     if fired.shape != u.shape:
         raise ContractError("spikes and potentials must align step by step")
@@ -70,10 +57,9 @@ def decode_batch(spikes, potentials, tiebreak: str = "spikers", first_step=1):
     # the first firing step, or the final step on fallback
     step = np.where(any_spike, fired_at.argmax(axis=0), t_steps - 1)
     rows = np.arange(n)
-    pots = u[step, rows]                          # (N, C)
-    if tiebreak == "spikers":    # on fallback every neuron competes
-        compete = fired[step, rows] | ~any_spike[:, None]
-        pots = np.where(compete, pots, -np.inf)
+    # the spikers compete; on fallback every neuron does
+    compete = fired[step, rows] | ~any_spike[:, None]
+    pots = np.where(compete, u[step, rows], -np.inf)   # (N, C)
     winners = pots == pots.max(axis=1, keepdims=True)
     labels = winners.argmax(axis=1)
     tied = winners.sum(axis=1) > 1

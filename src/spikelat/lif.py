@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, stack
+from .autodiff import Tensor
 from .errors import ContractError, check_positive
 
 
@@ -52,17 +52,16 @@ class LifTrace:
 
 def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
     """Run a population from rest, or from the constant potential ``u0``
-    (a previous run's ``final``), over (T, ...) currents (a list of step
-    tensors is stacked first): u_pre = tau*u + I, s = [u_pre >= v_th],
-    u = u_pre - s*v_th. The recurrence is one tape node whose backward is
-    the explicit adjoint, swept in place from the last step: du_pre = dU +
-    du + (dS - v_th*du) * window(u_pre), then du = tau*du_pre (no v_th term
-    with ``detach_reset``); du starts as the gradient of ``final``.
+    (a previous run's ``final``), over the (T, ...) currents tensor:
+    u_pre = tau*u + I, s = [u_pre >= v_th], u = u_pre - s*v_th. The
+    recurrence is one tape node whose backward is the explicit adjoint,
+    swept in place from the last step: du_pre = dU + du + (dS - v_th*du) *
+    window(u_pre), then du = tau*du_pre (no v_th term with
+    ``detach_reset``); du starts as the gradient of ``final``.
     """
-    currents = currents if isinstance(currents, Tensor) else stack(currents)
+    if not isinstance(currents, Tensor) or currents.ndim == 0 or len(currents) == 0:
+        raise ContractError("lif_unroll needs a (T, ...) currents tensor with T >= 1")
     drive, tau, v_th = currents.data, cfg.tau_leak, cfg.v_th
-    if drive.ndim == 0 or len(drive) == 0:
-        raise ContractError("lif_unroll needs at least one timestep")
     pots = np.empty_like(drive)
     spikes = np.empty_like(drive)
     u = np.zeros_like(drive[0]) if u0 is None else np.array(u0, dtype=np.float64)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_rows, stack
+from .autodiff import Tensor, softmax_rows
 from .errors import ContractError, ShapeError, check_positive
 
 
@@ -89,22 +89,21 @@ def temporal_weights(lam: Tensor, tau: float = 2.0) -> Tensor:
     return softmax_rows(lam * (1.0 / tau))
 
 
-def _time_major(step_logits) -> Tensor:
-    """The (T, N, C) logits block; a list of (N, C) step tensors is stacked."""
-    o = step_logits if isinstance(step_logits, Tensor) else stack(step_logits)
-    if o.ndim != 3 or len(o) == 0:
-        raise ShapeError(f"expected (T, N, C) logits with T >= 1, got {o.shape}")
+def _time_major(o) -> Tensor:
+    """``o`` itself, once it is a (T, N, C) logits tensor with T >= 1."""
+    if not isinstance(o, Tensor) or o.ndim != 3 or len(o) == 0:
+        raise ShapeError("expected a (T, N, C) logits tensor with T >= 1,"
+                         f" got {getattr(o, 'shape', type(o).__name__)}")
     return o
 
 
 def tad_loss(step_logits, labels, tau: float = 2.0,
              detach_weights: bool = True) -> Tensor:
-    """Confidence-weighted cross entropy over the (T, N, C) logits block
-    (or a list of (N, C) step tensors): each sample's per-step cross
-    entropies are mixed by its temporal weights w = softmax_t(lambda/tau),
-    then averaged over the batch. One tape node; its gradient at step t is
-    w_t (p_t - y)/N, plus w_t (ce_t - L)/tau * dlambda_t/do_t / N with the
-    weights attached, L being the sample's loss.
+    """Confidence-weighted cross entropy over the (T, N, C) logits block:
+    each sample's per-step cross entropies are mixed by its temporal weights
+    w = softmax_t(lambda/tau), then averaged over the batch. One tape node;
+    its gradient at step t is w_t (p_t - y)/N, plus w_t (ce_t - L)/tau *
+    dlambda_t/do_t / N with the weights attached, L being the sample's loss.
     """
     o = _time_major(step_logits)
     _, n, c = o.shape

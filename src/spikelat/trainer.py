@@ -247,14 +247,23 @@ def _train_step(model, opt, imgs, labels, cfg: TrainConfig, lr) -> float:
     return float(loss.data)
 
 
+def check_datasets(model: Model, train_ds: Dataset, eval_ds: Dataset):
+    """Raise ``ContractError`` unless both sets hold images and the training
+    set has the model's classes; :func:`train` runs this first."""
+    if train_ds.classes != model.spec.classes:
+        raise ContractError("dataset classes do not match the model")
+    if len(train_ds) == 0 or len(eval_ds) == 0:
+        raise ContractError("training needs at least one train and one eval image,"
+                            f" got {len(train_ds)} and {len(eval_ds)}")
+
+
 def train(model: Model, train_ds: Dataset, eval_ds: Dataset,
           cfg: TrainConfig, log=None):
     """Optimize the model in place; returns the per-epoch metric rows."""
-    if train_ds.classes != model.spec.classes:
-        raise ContractError("dataset classes do not match the model")
+    check_datasets(model, train_ds, eval_ds)
     _keep_freed_step_memory()
     opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    steps_per_epoch = max(1, int(np.ceil(len(train_ds) / cfg.batch_size)))
+    steps_per_epoch = int(np.ceil(len(train_ds) / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
     history = []
     step = 0

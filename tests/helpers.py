@@ -69,7 +69,7 @@ def tape_lif_unroll(currents, cfg):
     for c in currents:
         u_pre = u * cfg.tau_leak + c
         s = spike(u_pre, cfg)
-        reset = s.detach() if cfg.detach_reset else s
+        reset = Tensor(s.data) if cfg.detach_reset else s
         u = u_pre + reset * (-cfg.v_th)
         spikes.append(s)
         potentials.append(u_pre)

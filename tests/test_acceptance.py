@@ -194,11 +194,8 @@ def test_criterion_01_gradients():
         steps = rng.integers(1, 4)
         flat = rng.normal(size=(steps, 2, 3))
 
-        def full_tad(t, labels=labels, steps=steps):
-            frames = [t[s] for s in range(steps)]
-            return tad_loss(frames, labels, detach_weights=False)
-
-        check_grad(full_tad, flat)
+        check_grad(lambda t, labels=labels: tad_loss(t, labels, detach_weights=False),
+                   flat)
 
     # BPTT through the spiking recurrence against the hand-rolled adjoint
     for trial in range(20):
@@ -210,7 +207,7 @@ def test_criterion_01_gradients():
             a = rng.normal(size=(steps, neurons))
             b = rng.normal(size=neurons)
 
-            currents = [Tensor(cur[t]) for t in range(steps)]
+            currents = Tensor(cur)
             trace = lif_unroll(currents, cfg)
             loss = (trace.final * Tensor(b)).sum()
             for t in range(steps):
@@ -219,7 +216,7 @@ def test_criterion_01_gradients():
 
             for j in range(neurons):
                 _, _, want = manual_bptt(cur[:, j], a[:, j], b[j], cfg)
-                got = [float(currents[t].grad[j]) for t in range(steps)]
+                got = currents.grad[:, j]
                 assert rel_err(got, want) <= 1e-10
 
     assert time.perf_counter() - t0 < 60.0
@@ -293,16 +290,16 @@ def test_criterion_03_loss():
     # with detached weights the loss is a convex mix of per-step CEs
     for _ in range(10):
         steps = int(rng.integers(2, 6))
-        logits = [Tensor(rng.normal(size=(6, 4))) for _ in range(steps)]
+        logits = Tensor(np.stack([rng.normal(size=(6, 4)) for _ in range(steps)]))
         labels = rng.integers(0, 4, size=6)
-        ces = np.stack([cross_entropy_rows(o, labels).data for o in logits])
+        ces = np.stack([cross_entropy_rows(Tensor(o), labels).data for o in logits.data])
         val = float(tad_loss(logits, labels, detach_weights=True).data)
         assert ces.min(axis=0).mean() - 1e-12 <= val <= ces.max(axis=0).mean() + 1e-12
 
     # one timestep collapses to plain cross entropy
     logits = Tensor(rng.normal(size=(8, 5)))
     labels = rng.integers(0, 5, size=8)
-    tad = float(tad_loss([logits], labels).data)
+    tad = float(tad_loss(Tensor(logits.data[None]), labels).data)
     ce = float(cross_entropy_rows(logits, labels).mean().data)
     assert tad == ce
 
@@ -312,7 +309,7 @@ def test_criterion_03_loss():
 # -- 4: decoder against a brute-force reference ------------------------------
 
 
-def _reference_decode(spikes, pots, tiebreak):
+def _reference_decode(spikes, pots):
     """Literal restatement of the decision rule, nested loops and all."""
     t_steps, n, c = spikes.shape
     out = []
@@ -322,9 +319,8 @@ def _reference_decode(spikes, pots, tiebreak):
             fired = [j for j in range(c) if spikes[t, i, j] > 0]
             if not fired:
                 continue
-            pool = fired if tiebreak == "spikers" else list(range(c))
-            best = max(pots[t, i, j] for j in pool)
-            winners = [j for j in pool if pots[t, i, j] == best]
+            best = max(pots[t, i, j] for j in fired)
+            winners = [j for j in fired if pots[t, i, j] == best]
             made = Decision(label=min(winners), exit_step=t + 1, spiked=True,
                             tied=len(winners) > 1)
             break
@@ -350,10 +346,8 @@ def test_criterion_04_decoder():
         spikes = (rng.random((t_steps, n, c)) < p).astype(float)
         # one-decimal potentials make exact ties a routine event
         pots = np.round(rng.normal(size=(t_steps, n, c)), 1)
-        mode = "spikers" if trial % 2 == 0 else "all"
-
-        got = decode_batch(list(spikes), list(pots), tiebreak=mode)
-        want = _reference_decode(spikes, pots, mode)
+        got = decode_batch(spikes, pots)
+        want = _reference_decode(spikes, pots)
         assert got == want
         total += n
 
@@ -363,7 +357,7 @@ def test_criterion_04_decoder():
                 assert d.exit_step == t_steps
 
         if trial % 50 == 0:
-            shifted = decode_batch(list(spikes), list(pots + 2.5), tiebreak=mode)
+            shifted = decode_batch(spikes, pots + 2.5)
             assert shifted == got
 
     assert total >= 10_000

@@ -196,6 +196,11 @@ class TestTemporalSimilarity:
         assert np.all(m >= 0.0)
         assert np.all(m <= 1.0)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (3, 0, 4), (3,)])
+    def test_rejects_frames_without_steps_or_samples(self, shape):
+        with pytest.raises(ContractError, match=r"\(T, N, \.\.\.\) frames"):
+            temporal_similarity(np.zeros(shape))
+
     def test_accepts_multichannel_frames(self):
         rng = np.random.default_rng(4)
         frames = [rng.random((3, 2, 5, 5)) for _ in range(3)]

@@ -14,7 +14,6 @@ from spikelat.autodiff import (
     no_grad,
     sigmoid,
     softmax_rows,
-    stack,
 )
 from spikelat.data import synth_digits
 from spikelat.errors import ContractError, GraphError, NumericsError, ShapeError
@@ -272,20 +271,6 @@ class TestGradients:
         x = Tensor(np.arange(6, dtype=np.float64).reshape(3, 2))
         x[1].sum().backward()
         np.testing.assert_allclose(x.grad, [[0, 0], [1, 1], [0, 0]])
-
-    def test_stack_routes_grads_to_members(self):
-        a = Tensor([1.0, 2.0])
-        b = Tensor([3.0, 4.0])
-        s = stack([a, b])
-        (s * Tensor([[1.0, 2.0], [3.0, 4.0]])).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 2.0])
-        np.testing.assert_allclose(b.grad, [3.0, 4.0])
-
-    def test_detach_blocks_gradient(self):
-        x = Tensor([2.0])
-        y = x.detach() * 3.0 + x * 5.0
-        y.sum().backward()
-        np.testing.assert_allclose(x.grad, [5.0])
 
     def test_shared_parameter_accumulates_over_reuse(self):
         w = Tensor([[1.0, 2.0], [3.0, 4.0]])

@@ -183,6 +183,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command, settings, message", [
         ("train", "data.train_count=-1", "count must be >= 0, got -1"),
         ("train", "data.eval_count=-1", "count must be >= 0, got -1"),
+        ("train", "data.train_count=0",
+         "training needs at least one train and one eval image, got 0 and 48"),
+        ("train", "data.eval_count=0",
+         "training needs at least one train and one eval image, got 96 and 0"),
+        ("train", "data.label_noise=-0.5", "label_noise must be in [0, 1], got -0.5"),
+        ("train", "data.label_noise=1.5", "label_noise must be in [0, 1], got 1.5"),
         ("eval", "data.eval_count=-1", "count must be >= 0, got -1"),
         ("train", "data.noise=-0.5", "noise must be >= 0, got -0.5"),
         ("train", "data.source=digits data.noise=-0.5", "noise must be >= 0"),

@@ -129,6 +129,11 @@ class TestSynthBlobs:
         frac = (clean.labels != noisy.labels).mean()
         assert 0.1 < frac < 0.4
 
+    @pytest.mark.parametrize("label_noise", [-0.5, 1.5, float("nan")])
+    def test_label_noise_outside_unit_interval_rejected(self, label_noise):
+        with pytest.raises(ContractError, match=r"label_noise must be in \[0, 1\]"):
+            synth_blobs(10, classes=3, label_noise=label_noise)
+
     def test_class_count_bounds(self):
         with pytest.raises(ContractError):
             synth_blobs(10, classes=1)

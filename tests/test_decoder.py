@@ -2,9 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from spikelat.autodiff import Tensor
 from spikelat.decoder import (
@@ -13,11 +10,11 @@ from spikelat.decoder import (
     rate_decode,
 )
 from spikelat.errors import ContractError
-from spikelat.lif import LifConfig, lif_unroll
+from spikelat.lif import LifConfig
 from spikelat.network import build_model, preset_spec
 
 
-def reference_decode(spikes, potentials, tiebreak):
+def reference_decode(spikes, potentials):
     """Plain nested-loop restatement of the decision rule."""
     T = len(spikes)
     n, c = spikes[0].shape
@@ -28,9 +25,8 @@ def reference_decode(spikes, potentials, tiebreak):
             spikers = [j for j in range(c) if spikes[t][i, j] > 0]
             if not spikers:
                 continue
-            pool = spikers if tiebreak == "spikers" else list(range(c))
-            best = max(potentials[t][i, j] for j in pool)
-            winners = [j for j in pool if potentials[t][i, j] == best]
+            best = max(potentials[t][i, j] for j in spikers)
+            winners = [j for j in spikers if potentials[t][i, j] == best]
             found = Decision(min(winners), t + 1, True, len(winners) > 1)
             break
         if found is None:
@@ -43,37 +39,35 @@ def reference_decode(spikes, potentials, tiebreak):
 
 class TestFirstSpikeRule:
     def test_single_clear_winner(self):
-        spikes = [np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]), np.ones((1, 3))]
-        pots = [np.zeros((1, 3))] * 3
+        spikes = np.stack([np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]), np.ones((1, 3))])
+        pots = np.zeros((3, 1, 3))
         (d,) = decode_batch(spikes, pots)
         assert d == Decision(label=1, exit_step=2, spiked=True, tied=False)
 
     def test_simultaneous_spikers_need_potentials(self):
-        spikes = [np.array([[1.0, 1.0, 0.0]])]
-        pots = [np.array([[1.2, 1.7, 5.0]])]
-        (d,) = decode_batch(spikes, pots, tiebreak="spikers")
-        assert d.label == 1
-        (d,) = decode_batch(spikes, pots, tiebreak="all")
-        assert d.label == 2
+        spikes = np.array([[[1.0, 1.0, 0.0]]])
+        pots = np.array([[[1.2, 1.7, 5.0]]])
+        (d,) = decode_batch(spikes, pots)
+        assert d.label == 1      # the silent neuron's higher potential does not compete
 
     def test_no_spike_falls_back_to_final_potential(self):
-        spikes = [np.zeros((1, 4))] * 3
-        pots = [np.zeros((1, 4)),
-                np.array([[9.0, 0.0, 0.0, 0.0]]),
-                np.array([[0.1, 0.2, 0.9, 0.3]])]
+        spikes = np.zeros((3, 1, 4))
+        pots = np.stack([np.zeros((1, 4)),
+                         np.array([[9.0, 0.0, 0.0, 0.0]]),
+                         np.array([[0.1, 0.2, 0.9, 0.3]])])
         (d,) = decode_batch(spikes, pots)
         assert d == Decision(label=2, exit_step=3, spiked=False, tied=False)
 
     def test_exact_tie_takes_lowest_index_and_flags(self):
-        spikes = [np.array([[0.0, 1.0, 1.0]])]
-        pots = [np.array([[0.0, 1.5, 1.5]])]
+        spikes = np.array([[[0.0, 1.0, 1.0]]])
+        pots = np.array([[[0.0, 1.5, 1.5]]])
         (d,) = decode_batch(spikes, pots)
         assert d.label == 1
         assert d.tied
 
     def test_early_weak_spike_beats_late_strong_one(self):
-        spikes = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
-        pots = [np.array([[1.0, 0.9]]), np.array([[0.0, 44.0]])]
+        spikes = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+        pots = np.array([[[1.0, 0.9]], [[0.0, 44.0]]])
         (d,) = decode_batch(spikes, pots)
         assert d.label == 0
         assert d.exit_step == 1
@@ -83,15 +77,14 @@ class TestFirstSpikeRule:
         for trial in range(30):
             T = int(rng.integers(1, 6))
             n, c = int(rng.integers(1, 5)), int(rng.integers(2, 5))
-            spikes = [(rng.random((n, c)) < 0.25).astype(float) for _ in range(T)]
-            pots = [np.round(rng.normal(size=(n, c)), 2) for _ in range(T)]
-            for mode in ("spikers", "all"):
-                got = decode_batch(spikes, pots, tiebreak=mode)
-                ref = reference_decode(spikes, pots, mode)
-                assert got == ref, f"trial {trial} mode {mode}"
-                # (T, N, C) arrays, with steps numbered from 7
-                got = decode_batch(np.stack(spikes), np.stack(pots), mode, first_step=7)
-                assert got == [replace(d, exit_step=d.exit_step + 6) for d in ref]
+            spikes = np.stack([(rng.random((n, c)) < 0.25).astype(float) for _ in range(T)])
+            pots = np.stack([np.round(rng.normal(size=(n, c)), 2) for _ in range(T)])
+            got = decode_batch(spikes, pots)
+            ref = reference_decode(spikes, pots)
+            assert got == ref, f"trial {trial}"
+            # steps numbered from 7
+            got = decode_batch(spikes, pots, first_step=7)
+            assert got == [replace(d, exit_step=d.exit_step + 6) for d in ref]
 
     def test_accepts_tensors_straight_from_forward(self):
         spec = preset_spec("mlp-mini", (1, 8, 8), classes=3, timesteps=5,
@@ -106,58 +99,25 @@ class TestFirstSpikeRule:
 
     def test_rejects_misaligned_inputs(self):
         with pytest.raises(ContractError):
-            decode_batch([np.zeros((2, 3))], [np.zeros((2, 4))])
+            decode_batch(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)))
         with pytest.raises(ContractError):
-            decode_batch([], [])
-        with pytest.raises(ContractError):
-            decode_batch([np.zeros((2, 3))], [np.zeros((2, 3))], tiebreak="coin")
-
-
-@st.composite
-def lif_readouts(draw):
-    """Spikes and pre-reset potentials of a LIF output population over a
-    (T, N, C) window that may continue a carried potential, so its steps
-    count from ``first_step``. Currents often sit exactly on threshold, and
-    with ``tau_leak`` 0 so do the potentials: exact ties among spikers."""
-    cfg = LifConfig(tau_leak=draw(st.floats(0.0, 1.0)), v_th=draw(st.floats(0.125, 4.0)))
-    t, n, c = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
-    levels = st.sampled_from([cfg.v_th, 0.5 * cfg.v_th, 0.0, -cfg.v_th])
-    currents = draw(arrays(np.float64, (t, n, c),
-                           elements=st.one_of(levels, st.floats(-3.0, 3.0))))
-    carried = draw(st.integers(0, t - 1))     # steps run before this window
-    u0 = lif_unroll(Tensor(currents[:carried]), cfg).final.data if carried else None
-    trace = lif_unroll(Tensor(currents[carried:]), cfg, u0)
-    return trace.spikes.data, trace.potentials.data, carried + 1
-
-
-class TestTiebreaksOnLifReadouts:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(readout=lif_readouts())
-    def test_tiebreaks_agree(self, readout):
-        """At the first firing step every spiker's potential has reached
-        v_th and every silent neuron's has not, so letting all compete
-        cannot change the winner."""
-        spikes, pots, first_step = readout
-        assert (decode_batch(spikes, pots, "spikers", first_step)
-                == decode_batch(spikes, pots, "all", first_step))
+            decode_batch(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))
 
 
 class TestRateDecode:
     def test_counts_win(self):
-        spikes = [np.array([[1.0, 0.0], [0.0, 1.0]]),
-                  np.array([[1.0, 1.0], [0.0, 1.0]]),
-                  np.array([[1.0, 0.0], [1.0, 1.0]])]
+        spikes = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                           [[1.0, 1.0], [0.0, 1.0]],
+                           [[1.0, 0.0], [1.0, 1.0]]])
         np.testing.assert_array_equal(rate_decode(spikes), [0, 1])
 
     def test_count_tie_takes_lowest_index(self):
-        spikes = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
+        spikes = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
         np.testing.assert_array_equal(rate_decode(spikes), [0])
 
     def test_can_disagree_with_first_spike(self):
-        spikes = [np.array([[1.0, 0.0]]),
-                  np.array([[0.0, 1.0]]),
-                  np.array([[0.0, 1.0]])]
-        pots = [np.array([[1.0, 0.0]])] * 3
+        spikes = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1.0]]])
+        pots = np.tile([[[1.0, 0.0]]], (3, 1, 1))
         assert [d.label for d in decode_batch(spikes, pots)] == [0]
         assert rate_decode(spikes)[0] == 1
 

@@ -11,8 +11,7 @@ from helpers import manual_bptt, rel_err, tape_lif_unroll
 class TestDynamics:
     def test_constant_drive_three_steps(self):
         cfg = LifConfig()
-        currents = [Tensor([0.6]) for _ in range(3)]
-        trace = lif_unroll(currents, cfg)
+        trace = lif_unroll(Tensor(np.full((3, 1), 0.6)), cfg)
         got_u = [float(p.data[0]) for p in trace.potentials]
         np.testing.assert_allclose(got_u, [0.6, 0.9, 1.05], rtol=1e-12)
         got_s = [float(s.data[0]) for s in trace.spikes]
@@ -21,13 +20,13 @@ class TestDynamics:
 
     def test_fires_exactly_at_threshold(self):
         cfg = LifConfig()
-        trace = lif_unroll([Tensor([1.0])], cfg)
+        trace = lif_unroll(Tensor([[1.0]]), cfg)
         assert trace.spikes.data[0, 0] == 1.0
         assert trace.final.data[0] == 0.0
 
     def test_soft_reset_subtracts_threshold_only_from_spikers(self):
         cfg = LifConfig(v_th=1.0)
-        trace = lif_unroll([Tensor([1.3, 0.7])], cfg)
+        trace = lif_unroll(Tensor([[1.3, 0.7]]), cfg)
         np.testing.assert_allclose(trace.spikes.data[0], [1.0, 0.0])
         np.testing.assert_allclose(trace.final.data, [0.3, 0.7], rtol=1e-12)
 
@@ -48,18 +47,18 @@ class TestDynamics:
     def test_spikes_are_binary(self):
         rng = np.random.default_rng(0)
         cfg = LifConfig()
-        trace = lif_unroll([Tensor(rng.normal(size=(4, 5))) for _ in range(6)], cfg)
+        trace = lif_unroll(Tensor(rng.normal(size=(6, 4, 5))), cfg)
         for s in trace.spikes:
             assert set(np.unique(s.data)) <= {0.0, 1.0}
 
     def test_zero_leak_forgets_history(self):
         cfg = LifConfig(tau_leak=0.0)
-        trace = lif_unroll([Tensor([0.9]), Tensor([0.4])], cfg)
+        trace = lif_unroll(Tensor([[0.9], [0.4]]), cfg)
         np.testing.assert_allclose(trace.potentials[1].data, [0.4])
 
     def test_spike_count_accumulates(self):
         cfg = LifConfig()
-        trace = lif_unroll([Tensor([1.0, 0.2]) for _ in range(4)], cfg)
+        trace = lif_unroll(Tensor(np.tile([1.0, 0.2], (4, 1))), cfg)
         np.testing.assert_allclose(sum(s.data for s in trace.spikes), [4.0, 0.0])
 
     def test_rejects_bad_config(self):
@@ -104,13 +103,13 @@ class TestSurrogateGradient:
 
 class TestBackpropThroughTime:
     def tape_grads(self, currents, a, b, cfg):
-        ts = [Tensor([c]) for c in currents]
-        trace = lif_unroll(ts, cfg)
+        block = Tensor(np.reshape(currents, (-1, 1)))
+        trace = lif_unroll(block, cfg)
         loss = trace.final * b
         for t, s in enumerate(trace.spikes):
             loss = loss + s * a[t]
         loss.sum().backward()
-        return [float(t.grad[0]) for t in ts], trace
+        return list(block.grad[:, 0]), trace
 
     def test_matches_manual_adjoint(self):
         cfg = LifConfig()
@@ -152,19 +151,17 @@ class TestBackpropThroughTime:
     def test_gradient_reaches_all_timesteps(self):
         # sub-window drive keeps 1 - v_th/width factors away from zero
         cfg = LifConfig()
-        ts = [Tensor([0.2]) for _ in range(5)]
-        trace = lif_unroll(ts, cfg)
+        block = Tensor(np.full((5, 1), 0.2))
+        trace = lif_unroll(block, cfg)
         (trace.final * 1.0).sum().backward()
-        for t in ts:
-            assert t.grad is not None
-            assert abs(t.grad[0]) > 0.0
+        assert np.all(np.abs(block.grad) > 0.0)
 
     def test_batched_unroll_gradients_match_scalar_runs(self):
         cfg = LifConfig()
         rng = np.random.default_rng(3)
         T, N = 4, 3
         cur = rng.uniform(0.0, 1.2, size=(T, N))
-        batch = [Tensor(cur[t]) for t in range(T)]
+        batch = Tensor(cur)
         trace = lif_unroll(batch, cfg)
         total = trace.final.sum()
         for s in trace.spikes:
@@ -172,7 +169,7 @@ class TestBackpropThroughTime:
         total.backward()
         for n in range(N):
             _, _, dI_ref = manual_bptt(list(cur[:, n]), [1.0] * T, 1.0, cfg)
-            got = [float(batch[t].grad[n]) for t in range(T)]
+            got = batch.grad[:, n]
             assert rel_err(got, dI_ref) < 1e-10
 
 
@@ -212,14 +209,6 @@ class TestFusedNodeMatchesPerStepTape:
         want = np.stack([s.grad for s in steps])
         assert np.any(want != 0.0)
         assert rel_err(block.grad, want) < 1e-12
-
-    def test_list_input_is_stacked(self):
-        rng = np.random.default_rng(6)
-        cur = rng.normal(loc=0.6, size=(4, 5))
-        a = lif_unroll([Tensor(c) for c in cur], LifConfig())
-        b = lif_unroll(Tensor(cur), LifConfig())
-        assert np.array_equal(a.spikes.data, b.spikes.data)
-        assert len(a.spikes) == 4
 
     def test_graph_is_freed_without_the_cycle_collector(self):
         import gc

@@ -125,7 +125,7 @@ class TestTadLoss:
         rng = np.random.default_rng(6)
         o = rng.normal(size=(5, 3))
         y = rng.integers(0, 3, size=5)
-        tl = tad_loss([Tensor(o)], y)
+        tl = tad_loss(Tensor(o[None]), y)
         ce = cross_entropy_rows(Tensor(o), y).mean()
         np.testing.assert_allclose(tl.data, ce.data, rtol=1e-12)
 
@@ -133,7 +133,7 @@ class TestTadLoss:
         rng = np.random.default_rng(7)
         o = rng.normal(size=(4, 3))
         y = rng.integers(0, 3, size=4)
-        tl = tad_loss([Tensor(o), Tensor(o), Tensor(o)], y)
+        tl = tad_loss(Tensor(np.stack([o, o, o])), y)
         ce = cross_entropy_rows(Tensor(o), y).mean()
         np.testing.assert_allclose(tl.data, ce.data, rtol=1e-12)
 
@@ -147,31 +147,24 @@ class TestTadLoss:
         ce1 = np.log(2.0)
         ce2 = np.log(1 + np.exp(-2.0))
         expect = w[0] * ce1 + w[1] * ce2
-        got = tad_loss([Tensor(o1), Tensor(o2)], y)
+        got = tad_loss(Tensor(np.stack([o1, o2])), y)
         np.testing.assert_allclose(got.data, expect, rtol=1e-12)
 
     def test_batch_average_of_per_sample_losses(self):
         rng = np.random.default_rng(8)
-        o = [rng.normal(size=(3, 4)) for _ in range(2)]
+        o = np.stack([rng.normal(size=(3, 4)) for _ in range(2)])
         y = rng.integers(0, 4, size=3)
-        full = float(tad_loss([Tensor(o[0]), Tensor(o[1])], y).data)
-        singles = [
-            float(
-                tad_loss(
-                    [Tensor(o[0][i : i + 1]), Tensor(o[1][i : i + 1])],
-                    y[i : i + 1],
-                ).data
-            )
-            for i in range(3)
-        ]
+        full = float(tad_loss(Tensor(o), y).data)
+        singles = [float(tad_loss(Tensor(o[:, i : i + 1]), y[i : i + 1]).data)
+                   for i in range(3)]
         np.testing.assert_allclose(full, np.mean(singles), rtol=1e-12)
 
     def test_detached_weights_gradient_is_weighted_ce_sum(self):
         rng = np.random.default_rng(9)
         o = [rng.normal(size=(3, 4)) for _ in range(3)]
         y = rng.integers(0, 4, size=3)
-        ts = [Tensor(v) for v in o]
-        tad_loss(ts, y, detach_weights=True).backward()
+        block = Tensor(np.stack(o))
+        tad_loss(block, y, detach_weights=True).backward()
 
         lam = np.stack([confidence(Tensor(v)).data for v in o], axis=1)
         z = np.exp(lam / 2.0)
@@ -180,51 +173,45 @@ class TestTadLoss:
             ref = Tensor(o[t])
             (cross_entropy_rows(ref, y) * Tensor(w[:, t])).mean().backward()
             # scale: tad averages over batch after the weighted time sum
-            assert rel_err(ts[t].grad, ref.grad) < 1e-12
+            assert rel_err(block.grad[t], ref.grad) < 1e-12
 
     def test_attached_weights_change_the_gradient(self):
         rng = np.random.default_rng(10)
-        o = [rng.normal(size=(2, 3)) * 2 for _ in range(2)]
+        o = np.stack([rng.normal(size=(2, 3)) * 2 for _ in range(2)])
         y = rng.integers(0, 3, size=2)
-        a = [Tensor(v) for v in o]
+        a = Tensor(o)
         tad_loss(a, y, detach_weights=True).backward()
-        b = [Tensor(v) for v in o]
+        b = Tensor(o)
         tad_loss(b, y, detach_weights=False).backward()
-        assert rel_err(a[0].grad, b[0].grad) > 1e-6
+        assert rel_err(a.grad[0], b.grad[0]) > 1e-6
 
     def test_attached_weights_gradient_vs_numeric(self):
         rng = np.random.default_rng(11)
-        o0 = rng.normal(size=(2, 3))
-        o1 = rng.normal(size=(2, 3))
+        o = np.stack([rng.normal(size=(2, 3)) for _ in range(2)])
         y = rng.integers(0, 3, size=2)
-        check_grad(
-            lambda t: tad_loss([t, Tensor(o1)], y, detach_weights=False), o0
-        )
+        check_grad(lambda t: tad_loss(t, y, detach_weights=False), o)
 
     def test_rejects_empty(self):
-        with pytest.raises(ContractError):
-            tad_loss([], np.array([0]))
+        with pytest.raises(ShapeError):
+            tad_loss(Tensor(np.zeros((0, 1, 2))), np.array([0]))
 
 
 class TestVanillaLoss:
     def test_time_mean_then_cross_entropy(self):
         o1 = np.array([[2.0, 0.0]])
         o2 = np.array([[0.0, 0.0]])
-        got = vanilla_loss([Tensor(o1), Tensor(o2)], np.array([0]))
+        got = vanilla_loss(Tensor(np.stack([o1, o2])), np.array([0]))
         np.testing.assert_allclose(got.data, np.log(1 + np.exp(-1.0)), rtol=1e-12)
 
     def test_uniform_steps_value(self):
-        got = vanilla_loss(
-            [Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]])], np.array([0])
-        )
+        got = vanilla_loss(Tensor([[[1.0, 0.0]], [[1.0, 0.0]]]), np.array([0]))
         np.testing.assert_allclose(got.data, 0.313262, atol=1e-6)
 
     def test_gradient_vs_numeric(self):
         rng = np.random.default_rng(12)
-        o0 = rng.normal(size=(3, 4))
-        o1 = rng.normal(size=(3, 4))
+        o = np.stack([rng.normal(size=(3, 4)) for _ in range(2)])
         y = rng.integers(0, 4, size=3)
-        check_grad(lambda t: vanilla_loss([t, Tensor(o1)], y), o0)
+        check_grad(lambda t: vanilla_loss(t, y), o)
 
 
 class TestTimeMajorBlock:
@@ -237,11 +224,8 @@ class TestTimeMajorBlock:
         loss = tad_loss(block, y, detach_weights=detach)
         assert loss.parents == (block,)
         loss.backward()
-        steps = [Tensor(v) for v in o]
-        ref = tad_loss(steps, y, detach_weights=detach)
-        ref.backward()
-        assert loss.data == ref.data
-        assert np.array_equal(block.grad, np.stack([s.grad for s in steps]))
+        assert block.grad.shape == o.shape
+        assert np.any(block.grad != 0.0)
 
     def test_rejects_a_block_without_time_axis_or_steps(self):
         with pytest.raises(ShapeError):

@@ -257,7 +257,7 @@ class TestEvalWithoutTape:
 
         def record(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            if self.op not in ("leaf", "detach"):
+            if self.op != "leaf":
                 made.append(self)
 
         monkeypatch.setattr(Tensor, "__init__", record)

@@ -42,12 +42,12 @@ def models():
     return out
 
 
-def layer_major(model, ds, tiebreak):
+def layer_major(model, ds):
     """Decisions of the full-window forward, batch by batch."""
     decisions = []
     for start in range(0, len(ds), BATCH):
         rec = model.forward(Tensor(ds.images[start : start + BATCH]))
-        decisions.extend(decode_batch(rec.out_spikes, rec.logits, tiebreak))
+        decisions.extend(decode_batch(rec.out_spikes, rec.logits))
     return decisions
 
 
@@ -65,14 +65,11 @@ def exit_charged_sparsity(model, ds):
     return spikes / slots
 
 
-@pytest.mark.parametrize("tiebreak", ["spikers", "all"])
 @pytest.mark.parametrize("trained", [False, True])
 @pytest.mark.parametrize("preset", ["mlp-mini", "vgg-mini", "sew-mini"])
-def test_matches_layer_major_decisions(models, preset, trained, tiebreak):
-    """The oracle decodes under either tiebreak: on a LIF readout both give
-    the decisions ``evaluate`` makes with the default, and the same scores."""
+def test_matches_layer_major_decisions(models, preset, trained):
     model, ds = models[preset, trained]
-    want = layer_major(model, ds, tiebreak)
+    want = layer_major(model, ds)
     got = evaluate(model, ds, BATCH)
     assert got.decisions == want
     labels = np.array([d.label for d in want])
@@ -100,7 +97,7 @@ def test_untrained_vgg_batch_is_all_fallback(models):
     got = res.decisions
     assert not any(d.spiked for d in got)
     assert {d.exit_step for d in got} == {4}
-    assert got == layer_major(model, ds, "spikers")
+    assert got == layer_major(model, ds)
     # every sample runs to T: the figure is the full-window record's
     assert abs(res.sparsity - model.forward(Tensor(ds.images)).sparsity()) <= 1e-12
 
@@ -109,12 +106,12 @@ def test_trained_sew_batch_exits_entirely_at_step_one(models):
     model, ds = models["sew-mini", True]
     got = evaluate(model, ds, BATCH).decisions
     assert all(d.spiked and d.exit_step == 1 for d in got)
-    assert got == layer_major(model, ds, "spikers")
+    assert got == layer_major(model, ds)
 
 
 def test_batch_of_one_and_partial_last_batch(models):
     model, ds = models["vgg-mini", True]
-    want = layer_major(model, ds, "spikers")
+    want = layer_major(model, ds)
     assert evaluate(model, ds, 1).decisions == want
     assert evaluate(model, ds, 48).decisions == want      # batches of 48, 48 and 4
 
@@ -134,7 +131,7 @@ def _output_blocks(model, monkeypatch):
 
 def test_exited_rows_are_not_computed(models, monkeypatch):
     model, ds = models["vgg-mini", True]
-    want = layer_major(model, ds, "spikers")
+    want = layer_major(model, ds)
     exits = np.array([d.exit_step for d in want])
     assert exits.min() == 1 and exits.max() > 2      # exits spread over the window
     seen = _output_blocks(model, monkeypatch)
@@ -163,7 +160,7 @@ def _some_fire_at_step_one():
 
 def test_step_one_then_the_rest_in_one_block(monkeypatch):
     model, ds = _some_fire_at_step_one()
-    want = layer_major(model, ds, "spikers")
+    want = layer_major(model, ds)
     exits = np.array([d.exit_step for d in want])
     survivors = np.count_nonzero(exits > 1)
     assert 0 < survivors < len(ds) and exits.max() > 3    # exits spread over the window
@@ -192,7 +189,7 @@ def test_robustness_report_equals_evaluate_per_cell(models):
     rep = robustness_eval(model, ds, batch_size=BATCH, seed=seed)
 
     def error(images):
-        got = layer_major(model, Dataset(images, ds.labels, ds.classes), "spikers")
+        got = layer_major(model, Dataset(images, ds.labels, ds.classes))
         return 1.0 - float((np.array([d.label for d in got]) == ds.labels).mean())
 
     cells = {(kind, s): error(corrupt(ds.images, kind, s,

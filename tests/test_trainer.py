@@ -313,6 +313,14 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(model, bad, ev, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    def test_empty_split_rejected(self, split):
+        model, tr, ev, _ = tiny_setup(seed=5)
+        empty = Dataset(tr.images[:0], tr.labels[:0], tr.classes)
+        sets = (empty, ev) if split == "train" else (tr, empty)
+        with pytest.raises(ContractError, match="at least one train and one eval image"):
+            train(model, *sets, TrainConfig(epochs=1))
+
     def test_config_validation(self):
         with pytest.raises(ContractError):
             TrainConfig(loss="hinge")
