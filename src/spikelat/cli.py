@@ -73,18 +73,12 @@ def _idx_split(cfg: dict, split):
     return load_idx(cfg[images], cfg[labels])
 
 
-def _train_datasets(cfg: dict):
+def _dataset(cfg: dict, split):
+    """The ``train`` or ``eval`` split; a synthetic eval split has its own seed."""
     if cfg["data.source"] == "idx":
-        train = _idx_split(cfg, "train")
-    else:
-        train = _synth(cfg, cfg["data.train_count"], cfg["data.seed"])
-    return train, _eval_dataset(cfg)
-
-
-def _eval_dataset(cfg: dict):
-    if cfg["data.source"] == "idx":
-        return _idx_split(cfg, "eval")
-    return _synth(cfg, cfg["data.eval_count"], cfg["data.seed"] + 1000)
+        return _idx_split(cfg, split)
+    seed = cfg["data.seed"] + (1000 if split == "eval" else 0)
+    return _synth(cfg, cfg[f"data.{split}_count"], seed)
 
 
 def _model_spec(cfg: dict, ds):
@@ -106,7 +100,7 @@ def _default_run_dir(cfg: dict) -> Path:
 
 
 def cmd_train(args, cfg: dict) -> int:
-    train_ds, eval_ds = _train_datasets(cfg)
+    train_ds, eval_ds = _dataset(cfg, "train"), _dataset(cfg, "eval")
     spec = _model_spec(cfg, train_ds)
     model = build_model(spec, seed=cfg["model.seed"])
     tcfg = TrainConfig(**section(cfg, "train"))
@@ -124,16 +118,19 @@ def cmd_train(args, cfg: dict) -> int:
     return 0
 
 
+def _eval_setup(args, cfg: dict):
+    """The eval split and the checkpoint's model for it; an empty split is
+    refused before the checkpoint is read."""
+    ds = _dataset(cfg, "eval")
+    if len(ds) == 0:
+        raise ContractError("the eval split holds no images")
+    model = load_checkpoint(args.checkpoint, _model_spec(cfg, ds), seed=cfg["model.seed"])
+    return ds, model
+
+
 def cmd_eval(args, cfg: dict) -> int:
-    ds = _eval_dataset(cfg)
-    spec = _model_spec(cfg, ds)
-    model = load_checkpoint(args.checkpoint, spec, seed=cfg["model.seed"])
-    res = evaluate(
-        model,
-        ds,
-        batch_size=cfg["train.batch_size"],
-        decode=cfg["decode.mode"],
-    )
+    ds, model = _eval_setup(args, cfg)
+    res = evaluate(model, ds, batch_size=cfg["train.batch_size"], decode=cfg["decode.mode"])
     print(f"accuracy {res.accuracy:.10g}")
     print(f"mean_exit {res.mean_exit:.10g}")
     print(f"sparsity {res.sparsity:.10g}")
@@ -144,9 +141,7 @@ def cmd_eval(args, cfg: dict) -> int:
 def cmd_analyze(args, cfg: dict) -> int:
     if cfg["analyze.batch"] < 1:
         raise ContractError(f"analyze.batch must be >= 1, got {cfg['analyze.batch']}")
-    ds = _eval_dataset(cfg)
-    spec = _model_spec(cfg, ds)
-    model = load_checkpoint(args.checkpoint, spec, seed=cfg["model.seed"])
+    ds, model = _eval_setup(args, cfg)
 
     # Every report is computed before anything is printed or written, so a
     # run that fails leaves no partial report directory behind.
@@ -182,7 +177,7 @@ def cmd_analyze(args, cfg: dict) -> int:
 
 
 def cmd_encode_demo(args, cfg: dict) -> int:
-    ds = _eval_dataset(cfg)
+    ds = _dataset(cfg, "eval")
     if not 0 <= args.index < len(ds):
         raise ContractError(
             f"--index {args.index} out of range for {len(ds)} images"

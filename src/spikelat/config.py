@@ -71,46 +71,25 @@ REGISTRY = [
 
 _BY_NAME = {k.name: k for k in REGISTRY}
 
-_TRUE = ("true", "1", "yes", "on")
-_FALSE = ("false", "0", "no", "off")
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+# per type: what an error says a value should be, and the parser
+_PARSERS = {bool: ("a boolean", lambda raw: _BOOLS[raw.lower()]),
+            int: ("an integer", int), float: ("a number", float), str: ("text", str)}
 
 
 def _convert(key: ConfigKey, raw: str, where: str):
     raw = raw.strip()
-    if key.type is bool:
-        low = raw.lower()
-        if low in _TRUE:
-            value = True
-        elif low in _FALSE:
-            value = False
-        else:
-            raise FormatError(
-                f"{where}: {key.name} expects a boolean, got {raw!r}"
-            )
-    elif key.type is int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise FormatError(
-                f"{where}: {key.name} expects an integer, got {raw!r}"
-            ) from None
-    elif key.type is float:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise FormatError(
-                f"{where}: {key.name} expects a number, got {raw!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise FormatError(
-                f"{where}: {key.name} expects a finite number, got {raw!r}"
-            )
-    else:
-        value = raw
+    what, parse = _PARSERS[key.type]
+    try:
+        value = parse(raw)
+    except (KeyError, ValueError):
+        raise FormatError(f"{where}: {key.name} expects {what}, got {raw!r}") from None
+    if key.type is float and not math.isfinite(value):
+        raise FormatError(f"{where}: {key.name} expects a finite number, got {raw!r}")
     if key.choices and value not in key.choices:
         raise FormatError(
-            f"{where}: {key.name} must be one of {list(key.choices)}, "
-            f"got {value!r}"
+            f"{where}: {key.name} must be one of {list(key.choices)}, got {value!r}"
         )
     return value
 

@@ -7,18 +7,21 @@ follows one protocol (:class:`Stage`): it is built from its input shape and
 reports its own output shape, connection count and whether it spikes, so
 ``Model.audit`` is simply the stage list.
 
-``Model.forward`` serves training and the full-window record the energy and
-similarity reports read; ``trainer.evaluate`` steps the stages instead. It
-is layer-major and time-major: each stage maps its predecessor's (T, N, ...)
-raster to its own, which for a feedforward wiring equals stepping the net
-through time. Convolutions, linear maps and pooling run once on the folded
-(T*N, ...) batch; only the membrane recurrence steps through time, in one
-fused LIF node per population. The tape is the one train/eval switch: a
-stage run while ``autodiff.recording()`` is true is in training mode, and
-one run under ``autodiff.no_grad`` is in eval mode, where each stage's
-arrays are freed once the next stage has them and its batch norm is folded
-into the conv before it. ``Model.forward``'s ``training`` flag only says
-whether it opens that scope.
+``Model.run`` is the one loop over the stages behind the encoder. It is
+layer-major and time-major: each stage maps its predecessor's (T, N, ...)
+raster block to its own, which for a feedforward wiring equals stepping
+the net through time, and each LIF population can start from a carried
+potential. ``Model.forward`` is the encoder raster then one ``run`` from
+rest over the whole window; it serves training and the record the energy
+and similarity reports read. ``trainer.evaluate`` calls ``run`` once per
+block of steps. Convolutions, linear maps and pooling run once on the
+folded (T*N, ...) batch; only the membrane recurrence steps through time,
+in one fused LIF node per population. The tape is the one train/eval
+switch: a stage run while ``autodiff.recording()`` is true is in training
+mode, and one run under ``autodiff.no_grad`` is in eval mode, where each
+stage's arrays are freed once the next stage has them and its batch norm
+is folded into the conv before it. ``Model.forward``'s ``training`` flag
+only says whether it opens that scope.
 
 The encoder is a conv stage whose drive feeds a sigmoid and the latency
 code instead of a LIF population. The output stage is a spiking linear
@@ -139,11 +142,21 @@ class ForwardRecord:
         return {name: float(frames.sum()) / frames.size
                 for name, frames in self.stage_spikes.items()}
 
+    @property
+    def slots(self):
+        """Slots per sample per step, over all spiking stages."""
+        return sum(int(np.prod(f.shape[2:])) for f in self.stage_spikes.values())
+
+    def spike_counts(self):
+        """(steps, rows) number of slots carrying a spike, over all spiking stages:
+        frames hold whole counts, so with a residual block's 2s clipped a sum is exact."""
+        flat = [f.reshape(f.shape[:2] + (-1,)) for f in self.stage_spikes.values()]
+        return sum((f if f.max() <= 1 else np.minimum(f, 1.0)) @ np.ones(f.shape[2]) for f in flat)
+
     def sparsity(self):
         """Fraction of slot-steps carrying a spike, over all spiking stages."""
-        frames = self.stage_spikes.values()
-        return (sum(np.count_nonzero(f) for f in frames)
-                / sum(f.size for f in frames))
+        counts = self.spike_counts()
+        return float(counts.sum()) / (self.slots * counts.size)
 
 
 def flops_conv(h_out, w_out, c_in, c_out, kernel) -> int:
@@ -168,10 +181,10 @@ class Stage:
     ``spiking``, i.e. emits the spike-valued frames a forward record keeps.
     ``unroll(frames, u0=None)`` maps its predecessor's (T, N, ...) tensor to
     its own and returns it with its population's ``LifTrace``, or None for a
-    stage without one; a population starts from rest, or from ``u0``, an
-    earlier run's ``final`` potential, so a stage can also be stepped through
-    time a block of frames at a time. It runs in training mode while the
-    tape records (``autodiff.recording()``) and in eval mode without it.
+    stage without one; a population starts from rest, or from ``u0``, the
+    ``final`` potential of the block before (see ``Model.run``). It runs in
+    training mode while the tape records (``autodiff.recording()``) and in
+    eval mode without it.
     """
 
     spiking = True
@@ -347,25 +360,32 @@ class Model:
         self.output = output
         self.audit = [encoder, *stages, output]
 
+    def raster(self, images: Tensor) -> Tensor:
+        """The encoder's (T, N, ...) latency raster of (N, C, H, W) images."""
+        return self.encoder.unroll(images)[0]
+
+    def run(self, frames: Tensor, state=None) -> ForwardRecord:
+        """Map a (T, N, ...) raster block through the stages behind the encoder,
+        recorded first under the encoder's name. Each LIF population starts from
+        ``state[name]``, or from rest without it; a given ``state`` is left
+        holding each one's final potential, where the next block starts."""
+        record_frames = {self.encoder.name: frames.data}
+        for stage in (*self.stages, self.output):
+            frames, trace = stage.unroll(frames, state.get(stage.name) if state else None)
+            if stage.spiking:
+                record_frames[stage.name] = frames.data
+            if trace is not None:
+                logits = trace.potentials
+                if state is not None:
+                    state[stage.name] = trace.final.data
+            del trace   # free the final potential before the next stage runs
+        return ForwardRecord(logits=logits, out_spikes=frames, stage_spikes=record_frames)
+
     def forward(self, images: Tensor, training: bool = False) -> ForwardRecord:
-        """Run every stage over the whole window. Only a training pass is
-        recorded on the tape; an eval pass frees each stage's arrays as the
-        next stage runs, keeping only what the record holds."""
-        frames = images
-        record_frames = {}
+        """The whole window from rest. Only a training pass is recorded on the
+        tape; an eval pass frees each stage's arrays as the next stage runs."""
         with nullcontext() if training else no_grad():
-            for stage in self.audit:
-                frames, trace = stage.unroll(frames)
-                if stage.spiking:
-                    record_frames[stage.name] = frames.data
-                if trace is not None:
-                    logits = trace.potentials
-                del trace   # free the final potential before the next stage runs
-        return ForwardRecord(
-            logits=logits,
-            out_spikes=frames,
-            stage_spikes=record_frames,
-        )
+            return self.run(self.raster(images))
 
     def parameters(self):
         return [(f"{s.name}.{n}", t) for s in self.audit for n, t in s.parameters()]

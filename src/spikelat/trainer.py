@@ -131,36 +131,27 @@ def evaluate(model: Model, ds: Dataset, batch_size=64, decode="first") -> EvalRe
     first, got, spikes = decode == "first", [], 0
     with no_grad():
         for imgs, _ in batches(ds, batch_size, shuffle=False):
-            batch, charged = _step_major(model, Tensor(imgs), first)
+            batch, charged, slots = _step_major(model, Tensor(imgs), first)
             got += batch
             spikes += charged
     labels = [d.label for d in got] if first else got
     exits = [d.exit_step for d in got] if first else [model.spec.timesteps] * len(got)
-    slots = sum(int(np.prod(s.out_shape)) for s in model.audit if s.spiking)
     accuracy = float((np.array(labels) == ds.labels).mean())
     fallback = float(np.mean([not d.spiked for d in got])) if first else 0.0
     return EvalResult(accuracy, float(np.mean(exits)), spikes / (slots * sum(exits)),
                       fallback, got if first else [])
 
 
-def _spike_counts(frames):
-    """(steps, rows) number of slots of a (steps, rows, ...) block that carry a spike:
-    frames hold whole counts, so with a residual block's 2s clipped a sum is exact."""
-    f = frames.data.reshape(frames.shape[:2] + (-1,))
-    return (f if f.max() <= 1 else np.minimum(f, 1.0)) @ np.ones(f.shape[2])
-
-
 def _step_major(model: Model, images: Tensor, early_exit: bool):
-    """One batch's first-spike decisions (rate labels without ``early_exit``)
-    and the spikes charged to it. Time is the outer loop: the encoder raster
-    runs through every stage for step 1 over the whole batch, then for steps
-    2..T over the rows whose output did not fire at step 1, each LIF
-    population carrying its potential into the second block. Without
-    ``early_exit`` the window runs as one block. Rows that never fire take
-    the fallback at T. Eval-mode batch norm is affine per channel, so
-    dropping rows changes no other row.
+    """One batch's first-spike decisions (rate labels without ``early_exit``),
+    the spikes charged to it and the spiking slots per sample per step. Time
+    is the outer loop: one ``Model.run`` takes the encoder raster's step 1 for
+    the whole batch, a second steps 2..T for the rows whose output did not
+    fire, carrying the potentials in its state; without ``early_exit`` one run
+    takes the window. Rows that never fire take the fallback at T. Eval-mode
+    batch norm is affine per channel, so dropping rows changes no other row.
     """
-    raster = model.encoder.unroll(images)[0].data
+    raster = model.raster(images).data
     steps = len(raster)
     out = [None] * len(images)
     exits = np.full(len(images), steps)
@@ -172,27 +163,21 @@ def _step_major(model: Model, images: Tensor, early_exit: bool):
         if not len(live):
             break
         rows = live if len(live) < len(images) else slice(None)   # a view while all run
-        frames = Tensor(raster[start:stop, rows])
-        counts = _spike_counts(frames)
-        for stage in (*model.stages, model.output):
-            frames, trace = stage.unroll(frames, state.get(stage.name))
-            if trace is not None:
-                state[stage.name] = trace.final.data
-            if stage.spiking:
-                counts += _spike_counts(frames)
-        done = frames.data.any(axis=(0, 2)) | (stop == steps)
+        rec = model.run(Tensor(raster[start:stop, rows]), state)
+        fired, pots = rec.out_spikes.data, rec.logits.data
+        done = fired.any(axis=(0, 2)) | (stop == steps)
         if not early_exit:
-            out = rate_decode(frames.data).tolist()
+            out = rate_decode(fired).tolist()
         elif done.any():
-            decided = decode_batch(frames.data[:, done], trace.potentials.data[:, done],
-                                   first_step=start + 1)
+            decided = decode_batch(fired[:, done], pots[:, done], first_step=start + 1)
             for row, d in zip(live[done], decided):
                 out[row], exits[row] = d, d.exit_step
             live = live[~done]
             state = {name: u[~done] for name, u in state.items()}
         # each row pays for the steps of this block up to its exit step
-        spikes += int(counts[np.arange(start + 1, stop + 1)[:, None] <= exits[rows]].sum())
-    return out, spikes
+        charged = np.arange(start + 1, stop + 1)[:, None] <= exits[rows]
+        spikes += int(rec.spike_counts()[charged].sum())
+    return out, spikes, rec.slots
 
 
 @dataclass

@@ -190,6 +190,8 @@ class TestErrorPaths:
         ("train", "data.label_noise=-0.5", "label_noise must be in [0, 1], got -0.5"),
         ("train", "data.label_noise=1.5", "label_noise must be in [0, 1], got 1.5"),
         ("eval", "data.eval_count=-1", "count must be >= 0, got -1"),
+        ("eval", "data.eval_count=0", "the eval split holds no images"),
+        ("analyze", "data.eval_count=0", "the eval split holds no images"),
         ("train", "data.noise=-0.5", "noise must be >= 0, got -0.5"),
         ("train", "data.source=digits data.noise=-0.5", "noise must be >= 0"),
         ("train", "data.jitter=-1", "jitter must be >= 0, got -1"),

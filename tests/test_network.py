@@ -230,6 +230,66 @@ class TestForward:
             np.testing.assert_array_equal(oa.data, ob.data)
 
 
+def active_model(name, timesteps=4):
+    """An untrained model whose shifted biases make every stage fire, so
+    that sew-mini's residual block emits 2s."""
+    model = build_model(preset_spec(name, (1, 16, 16), classes=10, timesteps=timesteps))
+    for stage in model.stages:
+        if stage.kind in ("conv", "sew"):
+            stage.beta.data += 0.6
+        elif stage.kind == "linear":
+            stage.b.data += 0.3
+    model.output.b.data += 0.5
+    return model
+
+
+class TestRun:
+    """``Model.run``: the one loop over the stages behind the encoder."""
+
+    @pytest.mark.parametrize("name", ["mlp-mini", "vgg-mini", "sew-mini"])
+    def test_split_window_carrying_state_equals_one_run(self, name):
+        model = active_model(name, timesteps=5)
+        with no_grad():
+            raster = model.raster(Tensor(synth_digits(12, seed=0).images)).data
+            whole_state = {}
+            whole = model.run(Tensor(raster), whole_state)
+            assert set(whole_state) == {s.name for s in model.audit[1:] if s.spiking}
+            assert next(iter(whole.stage_spikes)) == "enc"
+            assert np.array_equal(whole.stage_spikes["enc"], raster)
+            assert all(f.any() for f in whole.stage_spikes.values())
+            for t in range(1, len(raster)):
+                state = {}
+                head = model.run(Tensor(raster[:t]), state)
+                tail = model.run(Tensor(raster[t:]), state)
+                assert list(head.stage_spikes) == list(whole.stage_spikes)
+                for stage, frames in whole.stage_spikes.items():
+                    joined = np.concatenate([head.stage_spikes[stage],
+                                             tail.stage_spikes[stage]])
+                    assert np.array_equal(joined, frames), (t, stage)
+                for field in ("logits", "out_spikes"):
+                    joined = np.concatenate([getattr(head, field).data,
+                                             getattr(tail, field).data])
+                    assert np.array_equal(joined, getattr(whole, field).data), (t, field)
+                assert state.keys() == whole_state.keys()
+                for stage, u in whole_state.items():
+                    assert np.array_equal(state[stage], u), (t, stage)
+
+    def test_spike_counts_count_slots_carrying_a_spike(self):
+        model = active_model("sew-mini")
+        rec = model.forward(Tensor(synth_digits(10, seed=2).images))
+        assert (rec.stage_spikes["s3"] == 2).any()
+        want = sum(np.array([[np.count_nonzero(f[t, n]) for n in range(f.shape[1])]
+                             for t in range(f.shape[0])])
+                   for f in rec.stage_spikes.values())
+        counts = rec.spike_counts()
+        assert counts.shape == (4, 10)
+        assert np.array_equal(counts, want)
+        assert rec.slots == sum(f[0, 0].size for f in rec.stage_spikes.values())
+        frames = rec.stage_spikes.values()
+        assert rec.sparsity() == (sum(np.count_nonzero(f) for f in frames)
+                                  / sum(f.size for f in frames))
+
+
 class TestGradientFlow:
     @pytest.mark.parametrize("name", ["mlp-mini", "vgg-mini", "sew-mini"])
     def test_every_parameter_receives_gradient(self, name):
