@@ -7,7 +7,10 @@ tape: :meth:`Tensor.backward` on a scalar runs the reachable nodes in
 reverse creation order and accumulates gradients into every one of them,
 including every use of a shared weight.
 
-The graph is rebuilt on every forward pass; nothing is cached between runs.
+The graph is rebuilt on every forward pass, and backward consumes it: once
+an op result's ``_backward`` has run, the result drops its gradient, its
+closure (with the arrays the closure saved) and its parents. Only leaves
+keep gradients, and a tape serves one backward.
 All arithmetic is in 64-bit floats. NaN and Inf are an error state that
 raises :class:`~spikelat.errors.NumericsError`, but op results are not
 scanned one by one: a leaf (images, parameters) is checked when it is
@@ -65,7 +68,8 @@ class Tensor:
     Leaf tensors have no parents. Operation results carry a ``_backward``
     closure which, given the node's accumulated gradient, adds each parent's
     share to that parent's ``grad``; inside :func:`no_grad` they carry
-    neither. A node's parents are older than the node: ``id`` is drawn at
+    neither, and after a backward has passed them they keep neither, nor a
+    gradient. A node's parents are older than the node: ``id`` is drawn at
     construction, after the parents exist.
     """
 
@@ -127,6 +131,10 @@ class Tensor:
         raises ``GraphError``, and an op result made inside :func:`no_grad`
         raises ``ContractError``. Leaves already holding a gradient are added
         to, so per-sample runs can be summed externally.
+
+        Each op result drops its ``grad``, ``_backward`` and ``parents`` once
+        its turn has come; a second backward through a spent node raises
+        ``ContractError`` before any gradient moves.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -136,7 +144,8 @@ class Tensor:
         while stack:
             node = stack.pop()
             if not node.parents and node.op != "leaf":
-                raise ContractError(f"op '{node.op}' ran without a tape (no_grad);"
+                raise ContractError(f"op '{node.op}' ran without a tape (no_grad, or"
+                                    " a tape spent by an earlier backward);"
                                     " it has no gradient to give")
             for p in node.parents:
                 if p.id >= node.id:
@@ -147,9 +156,11 @@ class Tensor:
                     stack.append(p)
         self.accumulate(np.ones_like(self.data))
         for i in sorted(nodes, reverse=True):
-            node = nodes[i]
+            node = nodes.pop(i)
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node.parents:    # an op result: its part of the tape is spent
+                node.grad, node._backward, node.parents = None, None, ()
 
     # -- arithmetic --------------------------------------------------------
 

@@ -216,8 +216,9 @@ def _keep_freed_step_memory():
 def _train_step(model, opt, imgs, labels, cfg: TrainConfig, lr) -> float:
     """One optimizer step; returns the loss value.
 
-    The graph of the step (forward record and loss) lives only in this
-    frame, so it is freed before the next step builds its own.
+    Backward frees the step's graph as it walks it, and only the parameters
+    keep gradients; the record's values and the loss live only in this
+    frame, so they are freed before the next step builds its own.
     """
     rec = model.forward(Tensor(imgs), training=True)
     if cfg.loss == "tad":

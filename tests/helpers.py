@@ -1,4 +1,6 @@
 """Shared test utilities: numeric gradient oracle and small builders."""
+import tracemalloc
+
 import numpy as np
 
 from spikelat.autodiff import Tensor
@@ -25,6 +27,29 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.linalg.norm(a.ravel()), np.linalg.norm(b.ravel()), 1e-12)
     return np.linalg.norm((a - b).ravel()) / denom
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, peak bytes tracemalloc traced while fn ran). Tracing
+    starts at the call, so memory held before it is not counted."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def tape_nodes(root):
+    """Every node reachable from ``root`` through ``parents``, root first."""
+    nodes, todo = {root.id: root}, [root]
+    while todo:
+        for p in todo.pop().parents:
+            if p.id not in nodes:
+                nodes[p.id] = p
+                todo.append(p)
+    return list(nodes.values())
 
 
 def check_grad(build, x0, rtol=1e-5, h=1e-6):

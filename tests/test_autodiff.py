@@ -19,15 +19,20 @@ from spikelat.data import synth_digits
 from spikelat.errors import ContractError, GraphError, NumericsError, ShapeError
 from spikelat.loss import tad_loss
 
-from helpers import check_grad, numeric_grad, rel_err
+from helpers import check_grad, numeric_grad, rel_err, tape_nodes
+
+
+def step_loss(preset):
+    """(model, loss) of one training step's forward on 16 digits."""
+    spec = network.preset_spec(preset, (1, 16, 16), 10, timesteps=4, hidden=32, width=4)
+    model = network.build_model(spec, seed=0)
+    ds = synth_digits(16, seed=0)
+    return model, tad_loss(model.forward(Tensor(ds.images), training=True).logits, ds.labels)
 
 
 def one_step(preset):
     """(loss, parameter gradients) of one training step on 16 digits."""
-    spec = network.preset_spec(preset, (1, 16, 16), 10, timesteps=4, hidden=32, width=4)
-    model = network.build_model(spec, seed=0)
-    ds = synth_digits(16, seed=0)
-    loss = tad_loss(model.forward(Tensor(ds.images), training=True).logits, ds.labels)
+    model, loss = step_loss(preset)
     loss.backward()
     return loss, {name: t.grad for name, t in model.parameters()}
 
@@ -509,21 +514,27 @@ class TestAccumulate:
         np.testing.assert_array_equal(t.grad, [1.5, 2.5, 3.5])
 
     def test_no_two_tape_gradients_share_memory_after_a_sew_step(self):
-        loss, _ = one_step("sew-mini")
-        nodes, todo = {loss.id: loss}, [loss]
-        while todo:
-            for p in todo.pop().parents:
-                if p.id not in nodes:
-                    nodes[p.id] = p
-                    todo.append(p)
-        assert any(n.op == "add" for n in nodes.values())     # the residual
-        grads = [n.grad for n in nodes.values() if n.grad is not None]
+        # backward drops each op result's gradient once it has been used, so
+        # each one is caught as it is handed to its node's _backward
+        model, loss = step_loss("sew-mini")
+        nodes = tape_nodes(loss)
+        assert any(n.op == "add" for n in nodes)     # the residual
+        data = [n.data for n in nodes]
+        grads = []
+        for n in nodes:
+            if n._backward is not None:
+                def keep(g, run=n._backward):
+                    grads.append(g)
+                    run(g)
+                n._backward = keep
+        loss.backward()
+        grads += [t.grad for _, t in model.parameters()]
         assert len(grads) > 20
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
                 assert not np.shares_memory(a, b)
-            for n in nodes.values():
-                assert not np.shares_memory(a, n.data)
+            for d in data:
+                assert not np.shares_memory(a, d)
 
     @pytest.mark.parametrize("preset", ["mlp-mini", "vgg-mini", "sew-mini"])
     def test_step_grads_match_the_copying_path(self, monkeypatch, preset):
@@ -555,6 +566,38 @@ class TestAccumulate:
                 assert np.array_equal(g, ref[name]), name
             else:
                 assert rel_err(g, ref[name]) < 1e-12, name
+
+
+class TestSpentTape:
+    def test_op_results_drop_grad_closure_and_parents_after_a_sew_step(self):
+        model, loss = step_loss("sew-mini")
+        results = [n for n in tape_nodes(loss) if n.parents]
+        assert results and all(n._backward is not None for n in results)
+        loss.backward()
+        for n in results:
+            assert n.grad is None and n._backward is None and n.parents == (), n.op
+        _, want = one_step("sew-mini")
+        for name, t in model.parameters():
+            assert np.array_equal(t.grad, want[name]), name
+
+    def test_second_backward_raises_and_moves_no_gradient(self):
+        model, loss = step_loss("sew-mini")
+        loss.backward()
+        before = {name: t.grad.copy() for name, t in model.parameters()}
+        with pytest.raises(ContractError, match="ran without a tape .* spent by an earlier"):
+            loss.backward()
+        for name, t in model.parameters():
+            assert np.array_equal(t.grad, before[name]), name
+
+    def test_a_loss_on_a_spent_subgraph_raises(self):
+        x, w = Tensor(np.arange(3.0)), Tensor(np.ones(3))
+        h = x * w
+        (h * 2.0).sum().backward()
+        before = x.grad.copy(), w.grad.copy()
+        with pytest.raises(ContractError, match="op 'mul' ran without a tape"):
+            (h + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, before[0])
+        np.testing.assert_array_equal(w.grad, before[1])
 
 
 class TestTimeMajor:

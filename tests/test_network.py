@@ -16,6 +16,8 @@ from spikelat.network import (
 )
 from spikelat.trainer import evaluate
 
+from helpers import traced_peak
+
 
 def small_images(n=4, shape=(1, 8, 8), seed=0):
     rng = np.random.default_rng(seed)
@@ -350,11 +352,24 @@ class TestEvalWithoutTape:
         images = Tensor(synth_digits(64, seed=2).images)
         peak = {}
         for training in (False, True):
-            tracemalloc.start()
-            try:
-                rec = model.forward(images, training=training)
-                peak[training] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            rec, peak[training] = traced_peak(model.forward, images, training=training)
             del rec
         assert peak[False] <= 0.5 * peak[True], peak
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("name", ["vgg-mini", "sew-mini"])
+    def test_backward_peak_is_at_most_1_3_forward_tapes(self, name):
+        # backward frees each op result's gradient, closure and edges as it
+        # passes them, so it adds little to what the forward tape holds
+        model = build_model(preset_spec(name, (1, 16, 16), classes=10, timesteps=4))
+        ds = synth_digits(32, seed=3)
+
+        def step():
+            loss = tad_loss(model.forward(Tensor(ds.images), training=True).logits, ds.labels)
+            forward = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            return forward
+
+        forward, peak = traced_peak(step)
+        assert peak <= 1.3 * forward, (peak / forward, forward)
