@@ -11,6 +11,13 @@ The graph is rebuilt on every forward pass, and backward consumes it: once
 an op result's ``_backward`` has run, the result drops its gradient, its
 closure (with the arrays the closure saved) and its parents. Only leaves
 keep gradients, and a tape serves one backward.
+
+A tape entry can outlive its value. No backward reads a node's ``data``:
+each reads the arrays its op saved and the stored ``shape``. So once every
+op that reads a result's value has run, :meth:`Tensor.release` drops that
+value, and the tape holds only what backward reads. The model releases its
+conv, batch-norm and hidden spike results this way in a training pass.
+
 All arithmetic is in 64-bit floats. NaN and Inf are an error state that
 raises :class:`~spikelat.errors.NumericsError`, but op results are not
 scanned one by one: a leaf (images, parameters) is checked when it is
@@ -34,6 +41,7 @@ flipped, channel-transposed kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -62,6 +70,10 @@ def recording() -> bool:
     return _recording
 
 
+_RELEASED = np.empty(0)     # the value of every released op result
+_RELEASED.flags.writeable = False
+
+
 class Tensor:
     """A dense float64 array that records how it was computed.
 
@@ -70,10 +82,11 @@ class Tensor:
     share to that parent's ``grad``; inside :func:`no_grad` they carry
     neither, and after a backward has passed them they keep neither, nor a
     gradient. A node's parents are older than the node: ``id`` is drawn at
-    construction, after the parents exist.
+    construction, after the parents exist. ``shape`` is stored apart from
+    ``data``, so it outlives a value dropped by :meth:`release`.
     """
 
-    __slots__ = ("id", "data", "grad", "parents", "op", "_backward", "__weakref__")
+    __slots__ = ("id", "data", "shape", "grad", "parents", "op", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), op="leaf", backward=None):
         self.id = next(_ids)
@@ -81,30 +94,42 @@ class Tensor:
         if not parents:
             if not np.isfinite(self.data).all():
                 raise NumericsError(f"non-finite values in a {op} tensor")
-        elif not _recording:
-            parents, backward = (), None
+        else:
+            for p in parents:
+                if p.data is _RELEASED:
+                    raise ContractError(f"op '{op}' read the value of a released"
+                                        f" '{p.op}' result")
+            if not _recording:
+                parents, backward = (), None
+        self.shape = self.data.shape
         self.grad = None
         self.parents = tuple(parents)
         self.op = op
         self._backward = backward
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def ndim(self):
-        return self.data.ndim
+        return len(self.shape)
 
     @property
     def size(self):
-        return self.data.size
+        return math.prod(self.shape)
 
     def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.data.shape})"
+        return f"Tensor(op={self.op!r}, shape={self.shape})"
 
     def __len__(self):
-        return len(self.data)
+        if not self.shape:
+            raise TypeError("len() of a 0-d tensor")
+        return self.shape[0]
+
+    def release(self):
+        """Drop the value of an op result on the tape, keeping its shape and
+        its place in the graph. Backward reads saved arrays and shapes only,
+        so its gradients do not change; an op that reads the value raises
+        ``ContractError``. Leaves and results made without a tape keep theirs."""
+        if self.parents:
+            self.data = _RELEASED
 
     def accumulate(self, g, fresh=False):
         """Add ``g`` into the gradient. A first write copies it (no zero fill,
@@ -114,7 +139,7 @@ class Tensor:
             if fresh:
                 self.grad = g
             else:
-                self.grad = np.empty_like(self.data)
+                self.grad = np.empty(self.shape)
                 self.grad[...] = g
         else:
             self.grad += g
@@ -136,9 +161,9 @@ class Tensor:
         its turn has come; a second backward through a spent node raises
         ``ContractError`` before any gradient moves.
         """
-        if self.data.size != 1:
+        if self.size != 1:
             raise ContractError(
-                f"backward requires a scalar root, got shape {self.data.shape}"
+                f"backward requires a scalar root, got shape {self.shape}"
             )
         nodes, stack = {self.id: self}, [self]
         while stack:
@@ -185,9 +210,9 @@ class Tensor:
         if isinstance(other, Tensor):
             _same_shape(self, other, "mul")
 
-            def bw(g, a=self, b=other):
-                a.accumulate(g * b.data)
-                b.accumulate(g * a.data)
+            def bw(g, a=self, b=other, ad=self.data, bd=other.data):
+                a.accumulate(g * bd)
+                b.accumulate(g * ad)
 
             return Tensor(self.data * other.data, (self, other), "mul", bw)
 
@@ -207,7 +232,7 @@ class Tensor:
 
         def bw(g, a=self, idx=idx):
             if a.grad is None:
-                a.grad = np.zeros_like(a.data)
+                a.grad = np.zeros(a.shape)
             a.grad[idx] += g
 
         return Tensor(self.data[idx], (self,), "index0", bw)
@@ -218,7 +243,7 @@ class Tensor:
         def bw(g, a=self, axis=axis, keepdims=keepdims):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(g, a.data.shape))
+            a.accumulate(np.broadcast_to(g, a.shape))
 
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", bw)
 
@@ -234,14 +259,14 @@ class Tensor:
             shape = tuple(shape[0])
 
         def bw(g, a=self):
-            a.accumulate(g.reshape(a.data.shape))
+            a.accumulate(g.reshape(a.shape))
 
         return Tensor(self.data.reshape(shape), (self,), "reshape", bw)
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def check_finite(t: Tensor, where: str) -> Tensor:
@@ -268,9 +293,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = x2 @ w.data
     out_data += b.data
 
-    def bw(g, x=x, w=w, b=b, x2=x2):
+    def bw(g, x=x, w=w, b=b, x2=x2, wd=w.data):
         g2 = g.reshape(x2.shape[0], -1)
-        x.accumulate((g2 @ w.data.T).reshape(x.shape), fresh=True)
+        x.accumulate((g2 @ wd.T).reshape(x.shape), fresh=True)
         w.accumulate(x2.T @ g2)
         b.accumulate(g2.sum(axis=0))
 
@@ -362,9 +387,9 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     w2 = k.data.transpose(0, 2, 3, 1).reshape(c_out, K * K * C)
     out_data = _correlate(xs, w2, K, pad).reshape(x.shape[:-3] + (c_out, h_out, w_out))
 
-    def bw(g, x=x, k=k, xs=xs, w2=w2):
+    def bw(g, x=x, k=k, xs=xs, w2=w2, kd=k.data):
         g = g.reshape(-1, c_out, h_out, w_out)
-        flipped = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, K * K * c_out)
+        flipped = kd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, K * K * c_out)
         x.accumulate(_correlate(g, flipped, K, K - 1 - pad).reshape(x.shape), fresh=True)
         dw, grid = np.zeros_like(w2), None
         for c, p in _patch_chunks(xs, K, pad):
@@ -420,13 +445,13 @@ def batchnorm2d(
     out_data = d * (gamma.data * inv_std)[:, None, :, None, None]
     out_data += beta.data[:, None, None]
 
-    def bw(g, x=x, gamma=gamma, beta=beta, d=d, inv_std=inv_std, m=m):
+    def bw(g, x=x, gamma=gamma, beta=beta, d=d, inv_std=inv_std, m=m, gd=gamma.data):
         g = g.reshape(d.shape)
         sum_g = np.einsum("tnchw->tc", g)
         sum_gd = np.einsum("tnchw,tnchw->tc", g, d)
         gamma.accumulate((sum_gd * inv_std).sum(axis=0))
         beta.accumulate(sum_g.sum(axis=0))
-        scale = gamma.data * inv_std
+        scale = gd * inv_std
         # batch statistics depend on x, so the full Jacobian applies:
         # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std
         dx = g * scale[:, None, :, None, None]
@@ -481,7 +506,7 @@ def avg_pool2d(x: Tensor, size: int) -> Tensor:
     out_data /= size * size
 
     def bw(g, x=x, offsets=offsets):
-        dx = np.empty_like(x.data)
+        dx = np.empty(x.shape)
         g = g / len(offsets)
         for o in offsets:
             dx[o] = g

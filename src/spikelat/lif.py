@@ -34,10 +34,7 @@ class LifConfig:
         check_positive("surrogate_width", self.surrogate_width)
 
 
-def _window(u, cfg: LifConfig) -> np.ndarray:
-    """Surrogate spike derivative: 1/width on |u - v_th| <= width/2, else 0."""
-    inside = np.abs(u - cfg.v_th) <= 0.5 * cfg.surrogate_width
-    return inside * (1.0 / cfg.surrogate_width)
+_SLICE_BYTES = 1 << 20   # bytes of potentials per slice of the window mask
 
 
 @dataclass
@@ -57,7 +54,8 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
     recurrence is one tape node whose backward is the explicit adjoint,
     swept in place from the last step: du_pre = dU + du + (dS - v_th*du) *
     window(u_pre), then du = tau*du_pre (no v_th term with
-    ``detach_reset``); du starts as the gradient of ``final``.
+    ``detach_reset``); du starts as the gradient of ``final``. The node saves
+    where the window is open, one boolean per potential, not the potentials.
     """
     if not isinstance(currents, Tensor) or currents.ndim == 0 or len(currents) == 0:
         raise ContractError("lif_unroll needs a (T, ...) currents tensor with T >= 1")
@@ -74,16 +72,16 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
 
     upstream = {}   # gradients handed over by the potentials and final nodes
 
-    def bw(d_spikes, currents=currents, pots=pots):
+    def bw(d_spikes, currents=currents):
         # du_pre = (dS*window + dU) + du*keep, keep = 1 - v_th*window or 1
-        keep = _window(pots, cfg)
+        keep = inside * (1.0 / cfg.surrogate_width)
         d_drive = np.multiply(d_spikes, keep)
         if "potentials" in upstream:
             d_drive += upstream["potentials"]
         if not cfg.detach_reset:
             keep *= -v_th
             keep += 1.0
-        d_u = upstream["final"].copy() if "final" in upstream else np.zeros_like(keep[0])
+        d_u = upstream["final"].copy() if "final" in upstream else np.zeros(keep.shape[1:])
         for t in reversed(range(len(d_drive))):
             if not cfg.detach_reset:
                 d_u *= keep[t]
@@ -94,13 +92,20 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
     s = Tensor(spikes, (currents,), "lif_unroll", bw)
     if not s.parents:       # made without a tape: nothing will hand gradients over
         return LifTrace(s, Tensor(pots, (s,), "lif_potentials"), Tensor(u, (s,), "lif_final"))
+    # where the window is open, |u_pre - v_th| <= width/2, with a small float scratch
+    inside = np.empty(pots.shape, dtype=bool)
+    step = max(1, _SLICE_BYTES // max(1, pots[0].nbytes))
+    for t in range(0, len(pots), step):
+        d = pots[t : t + step] - v_th
+        np.less_equal(np.abs(d, out=d), 0.5 * cfg.surrogate_width, out=inside[t : t + step])
+        del d   # before the next slice's scratch is made
 
     # no reference from s to its children: the graph stays free of cycles
     def hand_over(name):
         def bw(g, s=s):
             upstream[name] = g
             if s.grad is None:      # the sweep runs from the spike node
-                s.grad = np.zeros_like(s.data)
+                s.grad = np.zeros(s.shape)
         return bw
 
     return LifTrace(spikes=s,

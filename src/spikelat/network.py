@@ -20,8 +20,11 @@ in one fused LIF node per population. The tape is the one train/eval
 switch: a stage run while ``autodiff.recording()`` is true is in training
 mode, and one run under ``autodiff.no_grad`` is in eval mode, where each
 stage's arrays are freed once the next stage has them and its batch norm
-is folded into the conv before it. ``Model.forward``'s ``training`` flag
-only says whether it opens that scope.
+is folded into the conv before it. In training mode each value is released
+(``Tensor.release``) once the ops that read it have run: the conv result,
+the drive, the residual branch and each stage's input frames, so the tape
+keeps only what backward reads. ``Model.forward``'s ``training`` flag only
+says whether it opens that scope.
 
 The encoder is a conv stage whose drive feeds a sigmoid and the latency
 code instead of a LIF population. The output stage is a spiking linear
@@ -232,8 +235,9 @@ class ConvStage(Stage):
         then the shift beta - running_mean*scale.
         """
         if recording():
-            h = batchnorm2d(conv2d(frames, self.k, pad=LayerSpec.pad), self.gamma,
-                            self.beta, self.running_mean, self.running_var)
+            c = conv2d(frames, self.k, pad=LayerSpec.pad)
+            h = batchnorm2d(c, self.gamma, self.beta, self.running_mean, self.running_var)
+            c.release()     # batch norm saved its deviations
         else:
             scale = self.gamma.data / np.sqrt(self.running_var + _BN_EPS)
             # a result of k and gamma, not a leaf: the check below names the stage
@@ -244,7 +248,9 @@ class ConvStage(Stage):
         return check_finite(h, f"stage '{self.name}'")
 
     def unroll(self, frames, u0=None):
-        trace = lif_unroll(self.drive(frames), self.lif, u0)
+        drive = self.drive(frames)
+        trace = lif_unroll(drive, self.lif, u0)
+        drive.release()
         return trace.spikes, trace
 
     def parameters(self):
@@ -265,7 +271,9 @@ class EncoderStage(ConvStage):
 
     def encode(self, images):
         """Returns (the (T, N, C, H, W) spike raster, the analog features)."""
-        f = sigmoid(self.drive(images))
+        drive = self.drive(images)
+        f = sigmoid(drive)
+        drive.release()
         return latency_encode(f, self.timesteps), f
 
     def unroll(self, images, u0=None):
@@ -294,7 +302,9 @@ class SewStage(ConvStage):
 
     def unroll(self, frames, u0=None):
         branch, trace = super().unroll(frames, u0)
-        return branch + frames, trace
+        out = branch + frames
+        branch.release()
+        return out, trace
 
 
 class PoolStage(Stage):
@@ -342,6 +352,7 @@ class LinearStage(Stage):
     def unroll(self, frames, u0=None):
         drive = check_finite(linear(frames, self.w, self.b), f"stage '{self.name}'")
         trace = lif_unroll(drive, self.lif, u0)
+        drive.release()
         return trace.spikes, trace
 
     def parameters(self):
@@ -368,17 +379,21 @@ class Model:
         """Map a (T, N, ...) raster block through the stages behind the encoder,
         recorded first under the encoder's name. Each LIF population starts from
         ``state[name]``, or from rest without it; a given ``state`` is left
-        holding each one's final potential, where the next block starts."""
+        holding each one's final potential, where the next block starts. On the
+        tape each stage's input frames, ``frames`` included, are released once
+        the stage has returned; the record's arrays stay readable."""
         record_frames = {self.encoder.name: frames.data}
         for stage in (*self.stages, self.output):
-            frames, trace = stage.unroll(frames, state.get(stage.name) if state else None)
+            out, trace = stage.unroll(frames, state.get(stage.name) if state else None)
+            frames.release()
+            frames = out
             if stage.spiking:
                 record_frames[stage.name] = frames.data
-            if trace is not None:
+            if trace is not None and state is not None:
+                state[stage.name] = trace.final.data
+            if stage is self.output:
                 logits = trace.potentials
-                if state is not None:
-                    state[stage.name] = trace.final.data
-            del trace   # free the final potential before the next stage runs
+            del trace   # free a hidden population's potentials before the next stage runs
         return ForwardRecord(logits=logits, out_spikes=frames, stage_spikes=record_frames)
 
     def forward(self, images: Tensor, training: bool = False) -> ForwardRecord:

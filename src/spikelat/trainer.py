@@ -216,16 +216,17 @@ def _keep_freed_step_memory():
 def _train_step(model, opt, imgs, labels, cfg: TrainConfig, lr) -> float:
     """One optimizer step; returns the loss value.
 
-    Backward frees the step's graph as it walks it, and only the parameters
-    keep gradients; the record's values and the loss live only in this
-    frame, so they are freed before the next step builds its own.
+    Only the logits are kept from the forward record: its stage spikes are
+    plain arrays off the tape, and dropping them leaves the tape holding
+    only what backward reads, since the model released its conv, batch-norm
+    and hidden spike values. Backward frees the graph as it walks it, and
+    only the parameters keep gradients.
     """
-    rec = model.forward(Tensor(imgs), training=True)
+    logits = model.forward(Tensor(imgs), training=True).logits
     if cfg.loss == "tad":
-        loss = tad_loss(rec.logits, labels, tau=cfg.tau,
-                        detach_weights=cfg.detach_weights)
+        loss = tad_loss(logits, labels, tau=cfg.tau, detach_weights=cfg.detach_weights)
     else:
-        loss = vanilla_loss(rec.logits, labels)
+        loss = vanilla_loss(logits, labels)
     check_finite(loss, "the loss")
     opt.zero_grad()
     loss.backward()

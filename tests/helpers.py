@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 
 from spikelat.autodiff import Tensor
-from spikelat.lif import _window
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -77,7 +76,8 @@ def spike(u, cfg):
     out = Tensor(s, (u,), "spike")
 
     def bw(g, u=u, cfg=cfg):
-        u.accumulate(g * _window(u.data, cfg))
+        inside = np.abs(u.data - cfg.v_th) <= 0.5 * cfg.surrogate_width
+        u.accumulate(g * (inside * (1.0 / cfg.surrogate_width)))
 
     out._backward = bw
     return out

@@ -600,6 +600,95 @@ class TestSpentTape:
         np.testing.assert_array_equal(w.grad, before[1])
 
 
+class TestReleasedValues:
+    """Backward reads saved arrays and shapes only, so a tape entry can outlive its value."""
+
+    @pytest.mark.parametrize("preset", ["mlp-mini", "vgg-mini", "sew-mini"])
+    def test_releasing_every_result_leaves_the_gradients_bitwise_equal(self, preset):
+        _, want = one_step(preset)
+        model, loss = step_loss(preset)
+        results = [n for n in tape_nodes(loss)[1:] if n.parents]
+        shapes = [n.shape for n in results]
+        for n in results:
+            n.release()
+        assert all(n.data.size == 0 and n.shape == s for n, s in zip(results, shapes))
+        loss.backward()
+        for name, t in model.parameters():
+            assert np.array_equal(t.grad, want[name]), name
+
+    def test_releasing_every_result_of_a_mixed_graph_leaves_the_gradients_bitwise_equal(self):
+        # op-result weights, kernels and gammas, a tensor product, indexing and
+        # an axis sum: the reads the presets do not make
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=s) for s in
+                  [(2, 2, 1, 4, 4), (3, 1, 3, 3), (3,), (3,), (12, 2), (2,)]]
+
+        def grads(release):
+            x, k, gamma, beta, w, b = leaves = [Tensor(a) for a in arrays]
+            h = batchnorm2d(conv2d(sigmoid(x), sigmoid(k), pad=1), sigmoid(gamma), beta,
+                            np.zeros(3), np.ones(3))
+            h = avg_pool2d(h * sigmoid(h), 2).reshape(2, 2, 12)
+            loss = linear(h, sigmoid(w), b)[1].sum(axis=0).sum()
+            if release:
+                for n in tape_nodes(loss)[1:]:
+                    n.release()
+            loss.backward()
+            return [t.grad for t in leaves]
+
+        for got, want in zip(grads(True), grads(False)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("preset", ["mlp-mini", "vgg-mini", "sew-mini"])
+    def test_a_training_forward_releases_conv_batchnorm_and_hidden_spikes(self, preset):
+        spec = network.preset_spec(preset, (1, 16, 16), 10, timesteps=4, hidden=32, width=4)
+        model = network.build_model(spec, seed=0)
+        rec = model.forward(Tensor(synth_digits(8, seed=0).images), training=True)
+        nodes = tape_nodes(rec.logits)
+        dropped = [n for n in nodes if n.op in ("conv2d", "batchnorm2d", "lif_unroll")
+                   and n is not rec.out_spikes]
+        assert len(dropped) >= {"mlp-mini": 3, "vgg-mini": 6, "sew-mini": 9}[preset]
+        assert all(n.data.size == 0 and n.size > 0 for n in dropped), \
+            [n.op for n in dropped if n.data.size]
+        assert rec.out_spikes.data.size and rec.logits.data.size
+        assert all(f.size for f in rec.stage_spikes.values())
+
+    @pytest.mark.parametrize("use", [
+        lambda t: t * 2.0,
+        lambda t: t + t,
+        lambda t: t.sum(),
+        lambda t: t[0:1],
+        lambda t: t.reshape(-1),
+        sigmoid,
+    ])
+    def test_a_released_value_in_forward_arithmetic_raises(self, use):
+        t = sigmoid(Tensor(np.arange(6.0).reshape(2, 1, 1, 3)))
+        t.release()
+        assert t.shape == (2, 1, 1, 3) and t.ndim == 4 and len(t) == 2 and t.size == 6
+        with pytest.raises(ContractError, match="read the value of a released 'sigmoid'"):
+            use(t)
+
+    @pytest.mark.parametrize("use", [
+        lambda t: linear(t, Tensor(np.ones((3, 2))), Tensor(np.zeros(2))),
+        lambda t: conv2d(t, Tensor(np.ones((1, 1, 1, 1)))),
+        lambda t: t + Tensor(np.ones(t.shape)),
+    ])
+    def test_a_released_value_fails_a_shape_check_first(self, use):
+        # ops that reshape or broadcast the empty value stop in numpy
+        t = sigmoid(Tensor(np.arange(6.0).reshape(2, 1, 1, 3)))
+        t.release()
+        with pytest.raises(ValueError):
+            use(t)
+
+    def test_leaves_and_untaped_results_keep_their_values(self):
+        x = Tensor(np.ones(3))
+        x.release()
+        with no_grad():
+            y = x * 2.0
+        y.release()
+        np.testing.assert_array_equal(x.data, np.ones(3))
+        np.testing.assert_array_equal(y.data, np.full(3, 2.0))
+
+
 class TestTimeMajor:
     """Time-major (T, N, ...) inputs against the same op on each step."""
 
