@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense arrays.
 
 A ``Tensor`` is both the value carrier and a node of a define-by-run tape:
 it remembers its parents and a closure that routes the upstream gradient to
@@ -15,15 +15,31 @@ keep gradients, and a tape serves one backward.
 A tape entry can outlive its value. No backward reads a node's ``data``:
 each reads the arrays its op saved and the stored ``shape``. So once every
 op that reads a result's value has run, :meth:`Tensor.release` drops that
-value, and the tape holds only what backward reads. The model releases its
-conv, batch-norm and hidden spike results this way in a training pass.
+value, and the tape holds only what backward reads.
 
-All arithmetic is in 64-bit floats. NaN and Inf are an error state that
-raises :class:`~spikelat.errors.NumericsError`, but op results are not
-scanned one by one: a leaf (images, parameters) is checked when it is
-made, and the model checks one array per stage and the loss with
-:func:`check_finite`. NaN and Inf propagate through the arithmetic between
-those checks, so each still sees them.
+An op that overwrites an op result it consumes takes that value over
+(:func:`overwritable`) and releases the result itself, with or without a
+tape, so a later reader raises ``ContractError``: ``batchnorm2d`` writes its
+deviations into the conv result's buffer, and ``lif.lif_unroll`` its
+potentials into the drive's. A backward closure owns the gradient it
+receives, so ``batchnorm2d`` and the LIF node write their input gradients
+into it: ``accumulate`` copies every first write that is not ``fresh``, so
+no two nodes hold one gradient at once.
+
+Values are 64-bit floats, except spike values, which are ``uint8`` counts:
+the latency raster, the LIF spikes and the residual sum of two spike
+frames (at most 2), the one uint8 + uint8. Every other op reads a uint8
+value into float64 exactly (``conv2d``'s patch copy, ``linear``'s matmul,
+``avg_pool2d``'s first copy), so no uint8 arithmetic wraps. Gradients are
+always float64. A :class:`Constant` leaf is data, not a parameter: it
+takes no gradient, and ``conv2d`` does not compute one for it.
+
+NaN and Inf are an error state that raises
+:class:`~spikelat.errors.NumericsError`, but op results are not scanned one
+by one: a leaf (images, parameters) is checked when it is made, and the
+model checks one array per stage and the loss with :func:`check_finite`.
+NaN and Inf propagate through the arithmetic between those checks, so each
+still sees them.
 
 Inside a :func:`no_grad` scope nothing is recorded: an op result keeps no
 parents and no backward closure, so each intermediate array is freed as
@@ -75,7 +91,8 @@ _RELEASED.flags.writeable = False
 
 
 class Tensor:
-    """A dense float64 array that records how it was computed.
+    """A dense array that records how it was computed: float64, or uint8
+    for spike values (given as a uint8 array, it is kept as it is).
 
     Leaf tensors have no parents. Operation results carry a ``_backward``
     closure which, given the node's accumulated gradient, adds each parent's
@@ -86,11 +103,14 @@ class Tensor:
     ``data``, so it outlives a value dropped by :meth:`release`.
     """
 
-    __slots__ = ("id", "data", "shape", "grad", "parents", "op", "_backward", "__weakref__")
+    __slots__ = ("id", "data", "shape", "grad", "parents", "op", "_backward", "_reads",
+                 "__weakref__")
 
     def __init__(self, data, parents=(), op="leaf", backward=None):
         self.id = next(_ids)
-        self.data = np.asarray(data, dtype=np.float64)
+        if not (isinstance(data, np.ndarray) and data.dtype == np.uint8):
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         if not parents:
             if not np.isfinite(self.data).all():
                 raise NumericsError(f"non-finite values in a {op} tensor")
@@ -99,9 +119,11 @@ class Tensor:
                 if p.data is _RELEASED:
                     raise ContractError(f"op '{op}' read the value of a released"
                                         f" '{p.op}' result")
+                p._reads += 1
             if not _recording:
                 parents, backward = (), None
         self.shape = self.data.shape
+        self._reads = 0     # op results made from this one, with or without a tape
         self.grad = None
         self.parents = tuple(parents)
         self.op = op
@@ -124,11 +146,11 @@ class Tensor:
         return self.shape[0]
 
     def release(self):
-        """Drop the value of an op result on the tape, keeping its shape and
-        its place in the graph. Backward reads saved arrays and shapes only,
-        so its gradients do not change; an op that reads the value raises
-        ``ContractError``. Leaves and results made without a tape keep theirs."""
-        if self.parents:
+        """Drop the value of an op result, keeping its shape and its place in
+        the graph. Backward reads saved arrays and shapes only, so its
+        gradients do not change; an op that reads the value raises
+        ``ContractError``, with or without a tape. Leaves keep theirs."""
+        if self.op != "leaf":
             self.data = _RELEASED
 
     def accumulate(self, g, fresh=False):
@@ -231,9 +253,12 @@ class Tensor:
             raise ContractError("only integer or slice indexing on axis 0 is supported")
 
         def bw(g, a=self, idx=idx):
-            if a.grad is None:
-                a.grad = np.zeros(a.shape)
-            a.grad[idx] += g
+            if a.grad is None:      # and stays None for a Constant
+                grad = np.zeros(a.shape)
+                grad[idx] += g
+                a.accumulate(grad, fresh=True)
+            else:
+                a.grad[idx] += g
 
         return Tensor(self.data[idx], (self,), "index0", bw)
 
@@ -264,6 +289,31 @@ class Tensor:
         return Tensor(self.data.reshape(shape), (self,), "reshape", bw)
 
 
+# op results whose value is not theirs alone: reshape and index0 results view
+# their parent's value, and the backward of sigmoid and softmax_rows reads their own
+_SHARED_VALUES = ("reshape", "index0", "sigmoid", "softmax_rows")
+
+
+def overwritable(x: Tensor) -> bool:
+    """Whether an op that consumes ``x`` may write into its value: ``x`` is a
+    float64 op result that holds a value of its own, one no backward reads,
+    and no op has read it yet (one may have saved it). Leaves belong to
+    their caller. The op releases ``x`` once its own result exists, so no
+    later op can read it either: it raises ``ContractError``."""
+    return (x.op != "leaf" and x.op not in _SHARED_VALUES and x._reads == 0
+            and x.data.dtype == np.float64 and x.data.flags.writeable)
+
+
+class Constant(Tensor):
+    """A leaf that is data, not a parameter, such as the images a model is
+    given: it takes no gradient, and ``conv2d`` does not compute one for it."""
+
+    __slots__ = ()
+
+    def accumulate(self, g, fresh=False):
+        pass
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str):
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
@@ -289,14 +339,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"linear: x {x.shape}, w {w.shape}, b {b.shape} do not chain"
         )
+    # uint8 spikes are cast to float64 before each GEMM: a mixed-type matmul
+    # may lay out its operands differently and round differently
     x2 = x.data.reshape(-1, w.shape[0])
-    out_data = x2 @ w.data
+    out_data = x2.astype(np.float64, copy=False) @ w.data
     out_data += b.data
 
     def bw(g, x=x, w=w, b=b, x2=x2, wd=w.data):
         g2 = g.reshape(x2.shape[0], -1)
         x.accumulate((g2 @ wd.T).reshape(x.shape), fresh=True)
-        w.accumulate(x2.T @ g2)
+        w.accumulate(x2.astype(np.float64, copy=False).T @ g2)
         b.accumulate(g2.sum(axis=0))
 
     return Tensor(out_data.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), "linear", bw)
@@ -389,8 +441,9 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     def bw(g, x=x, k=k, xs=xs, w2=w2, kd=k.data):
         g = g.reshape(-1, c_out, h_out, w_out)
-        flipped = kd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, K * K * c_out)
-        x.accumulate(_correlate(g, flipped, K, K - 1 - pad).reshape(x.shape), fresh=True)
+        if not isinstance(x, Constant):
+            flipped = kd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, K * K * c_out)
+            x.accumulate(_correlate(g, flipped, K, K - 1 - pad).reshape(x.shape), fresh=True)
         dw, grid = np.zeros_like(w2), None
         for c, p in _patch_chunks(xs, K, pad):
             n = len(p)
@@ -428,12 +481,14 @@ def batchnorm2d(
         raise ShapeError("batchnorm2d expects x (N,C,H,W) or (T,N,C,H,W)")
     if x.size == 0:
         raise ShapeError(f"batchnorm2d: empty input {x.shape}")
+    owned = overwritable(x)
     x5 = x.data.reshape((-1,) + x.shape[-4:])
     _, N, C, H, W = x5.shape
     m = N * H * W
 
     mu = x5.mean(axis=(1, 3, 4))
-    d = x5 - mu[:, None, :, None, None]     # deviations; backward reuses them
+    # deviations, in x's buffer when it is ours to overwrite; backward reuses them
+    d = np.subtract(x5, mu[:, None, :, None, None], out=x5 if owned else None)
     var = np.einsum("tnchw,tnchw->tc", d, d) / m
     unbiased = var * (m / (m - 1)) if m > 1 else var
     for mu_t, var_t in zip(mu, unbiased):
@@ -453,13 +508,18 @@ def batchnorm2d(
         beta.accumulate(sum_g.sum(axis=0))
         scale = gd * inv_std
         # batch statistics depend on x, so the full Jacobian applies:
-        # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std
-        dx = g * scale[:, None, :, None, None]
-        dx -= d * (scale * inv_std**2 * sum_gd / m)[:, None, :, None, None]
+        # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std,
+        # written into g; d is scaled in place, since a tape serves one backward
+        dx = np.multiply(g, scale[:, None, :, None, None], out=g)
+        d *= (scale * inv_std**2 * sum_gd / m)[:, None, :, None, None]
+        dx -= d
         dx -= (scale * sum_g / m)[:, None, :, None, None]
         x.accumulate(dx.reshape(x.shape), fresh=True)
 
-    return Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d", bw)
+    out = Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d", bw)
+    if owned:
+        x.release()
+    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -500,7 +560,7 @@ def avg_pool2d(x: Tensor, size: int) -> Tensor:
         raise ShapeError(f"avg_pool2d: {H}x{W} not divisible by window {size}")
     offsets = [(..., slice(i, None, size), slice(j, None, size))
                for i in range(size) for j in range(size)]
-    out_data = x.data[offsets[0]].copy()
+    out_data = x.data[offsets[0]].astype(np.float64)
     for o in offsets[1:]:
         out_data += x.data[o]
     out_data /= size * size

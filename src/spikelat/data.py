@@ -139,6 +139,8 @@ def synth_blobs(n, classes, size=8, noise=0.10, jitter=0.5, label_noise=0.0,
     """
     if classes < 2 or classes > 12:
         raise ContractError("synth_blobs supports 2..12 classes")
+    if size < 1:
+        raise ContractError(f"size must be >= 1, got {size}")
     if not 0.0 <= label_noise <= 1.0:
         raise ContractError(f"label_noise must be in [0, 1], got {label_noise}")
     rng = seeded_rng("seed", seed, count=n, noise=noise, jitter=jitter)

@@ -33,7 +33,7 @@ def spike_time(x, timesteps: int) -> np.ndarray:
 
 
 def latency_encode(features: Tensor, timesteps: int) -> Tensor:
-    """Expand features (any shape) into a time-major (T, ...) binary raster.
+    """Expand features (any shape) into a time-major (T, ...) uint8 raster.
 
     Forward places a single 1 per element at its spike step. Backward is
     straight-through: every step hands its upstream gradient back to the
@@ -45,7 +45,7 @@ def latency_encode(features: Tensor, timesteps: int) -> Tensor:
     def bw(g, f=features):
         f.accumulate(g.sum(axis=0), fresh=True)
 
-    return Tensor((t_s == steps).astype(np.float64), (features,), "latency_encode", bw)
+    return Tensor((t_s == steps).view(np.uint8), (features,), "latency_encode", bw)
 
 
 def __getattr__(name):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, overwritable
 from .errors import ContractError, check_positive
 
 
@@ -39,8 +39,9 @@ _SLICE_BYTES = 1 << 20   # bytes of potentials per slice of the window mask
 
 @dataclass
 class LifTrace:
-    """One population's run: (T, ...) ``spikes`` and pre-reset ``potentials``
-    tensors, and ``final``, the post-reset potential after the last step."""
+    """One population's run: (T, ...) ``spikes`` (uint8) and pre-reset
+    ``potentials`` tensors, and ``final``, the post-reset potential after the
+    last step."""
 
     spikes: Tensor
     potentials: Tensor
@@ -56,40 +57,50 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
     window(u_pre), then du = tau*du_pre (no v_th term with
     ``detach_reset``); du starts as the gradient of ``final``. The node saves
     where the window is open, one boolean per potential, not the potentials.
+
+    Spikes are uint8. The potentials accumulate in the currents' buffer when
+    it may be overwritten (``autodiff.overwritable``; ``drive[t] + tau*u``
+    is bitwise ``tau*u + drive[t]``), and ``currents`` is then released. The
+    sweep runs in the spike gradient it receives.
     """
     if not isinstance(currents, Tensor) or currents.ndim == 0 or len(currents) == 0:
         raise ContractError("lif_unroll needs a (T, ...) currents tensor with T >= 1")
-    drive, tau, v_th = currents.data, cfg.tau_leak, cfg.v_th
-    pots = np.empty_like(drive)
-    spikes = np.empty_like(drive)
-    u = np.zeros_like(drive[0]) if u0 is None else np.array(u0, dtype=np.float64)
-    for t in range(len(drive)):
-        np.multiply(u, tau, out=pots[t])
-        pots[t] += drive[t]
-        np.greater_equal(pots[t], v_th, out=spikes[t])
-        np.multiply(spikes[t], v_th, out=u)
+    tau, v_th = cfg.tau_leak, cfg.v_th
+    owned = overwritable(currents)
+    pots = currents.data if owned else np.array(currents.data, dtype=np.float64)
+    spikes = np.empty(pots.shape, dtype=np.uint8)
+    fired = spikes.view(bool)
+    u = np.zeros(pots.shape[1:]) if u0 is None else np.array(u0, dtype=np.float64)
+    for t in range(len(pots)):
+        u *= tau
+        pots[t] += u
+        np.greater_equal(pots[t], v_th, out=fired[t])
+        np.multiply(fired[t], v_th, out=u)
         np.subtract(pots[t], u, out=u)
 
     upstream = {}   # gradients handed over by the potentials and final nodes
 
     def bw(d_spikes, currents=currents):
-        # du_pre = (dS*window + dU) + du*keep, keep = 1 - v_th*window or 1
-        keep = inside * (1.0 / cfg.surrogate_width)
-        d_drive = np.multiply(d_spikes, keep)
-        if "potentials" in upstream:
-            d_drive += upstream["potentials"]
-        if not cfg.detach_reset:
-            keep *= -v_th
-            keep += 1.0
-        d_u = upstream["final"].copy() if "final" in upstream else np.zeros(keep.shape[1:])
+        # du_pre = (dS*window + dU) + du*keep, keep = 1 - v_th*window or 1,
+        # swept in d_spikes and in the final gradient, which this closure owns
+        d_drive, d_pots = d_spikes, upstream.get("potentials")
+        d_u = upstream["final"] if "final" in upstream else np.zeros(d_drive.shape[1:])
         for t in reversed(range(len(d_drive))):
+            keep = inside[t] * (1.0 / cfg.surrogate_width)
+            d_drive[t] *= keep
+            if d_pots is not None:
+                d_drive[t] += d_pots[t]
             if not cfg.detach_reset:
-                d_u *= keep[t]
+                keep *= -v_th
+                keep += 1.0
+                d_u *= keep
             d_drive[t] += d_u
             np.multiply(d_drive[t], tau, out=d_u)
         currents.accumulate(d_drive, fresh=True)
 
     s = Tensor(spikes, (currents,), "lif_unroll", bw)
+    if owned:
+        currents.release()
     if not s.parents:       # made without a tape: nothing will hand gradients over
         return LifTrace(s, Tensor(pots, (s,), "lif_potentials"), Tensor(u, (s,), "lif_final"))
     # where the window is open, |u_pre - v_th| <= width/2, with a small float scratch

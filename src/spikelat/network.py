@@ -20,11 +20,14 @@ in one fused LIF node per population. The tape is the one train/eval
 switch: a stage run while ``autodiff.recording()`` is true is in training
 mode, and one run under ``autodiff.no_grad`` is in eval mode, where each
 stage's arrays are freed once the next stage has them and its batch norm
-is folded into the conv before it. In training mode each value is released
-(``Tensor.release``) once the ops that read it have run: the conv result,
-the drive, the residual branch and each stage's input frames, so the tape
-keeps only what backward reads. ``Model.forward``'s ``training`` flag only
-says whether it opens that scope.
+is folded into the conv before it. Each value is released
+(``Tensor.release``) once the ops that read it have run, so the tape keeps
+only what backward reads: batch norm takes over the conv result and the
+LIF population its drive (they write into those buffers), and the stages
+release the encoder's drive, the residual branch and each stage's input
+frames. Spike values (the raster, LIF spikes and residual sums) are uint8.
+``Model.forward``'s ``training`` flag only says whether it opens that
+scope.
 
 The encoder is a conv stage whose drive feeds a sigmoid and the latency
 code instead of a LIF population. The output stage is a spiking linear
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (_BN_EPS, Tensor, _conv_geometry, avg_pool2d, batchnorm2d,
+from .autodiff import (_BN_EPS, Constant, Tensor, _conv_geometry, avg_pool2d, batchnorm2d,
                        check_finite, conv2d, linear, no_grad, recording, sigmoid)
 from .data import seeded_rng
 from .encoder import latency_encode
@@ -129,7 +132,7 @@ class ForwardRecord:
     ``logits`` and ``out_spikes`` are the output population's (T, N, classes)
     pre-reset potentials and spikes; indexing gives per-step views.
     ``stage_spikes`` maps stage name to its emitted (T, N, ...) values, a
-    plain array detached from the tape.
+    plain uint8 array detached from the tape.
     """
 
     logits: Tensor
@@ -151,10 +154,10 @@ class ForwardRecord:
         return sum(int(np.prod(f.shape[2:])) for f in self.stage_spikes.values())
 
     def spike_counts(self):
-        """(steps, rows) number of slots carrying a spike, over all spiking stages:
-        frames hold whole counts, so with a residual block's 2s clipped a sum is exact."""
-        flat = [f.reshape(f.shape[:2] + (-1,)) for f in self.stage_spikes.values()]
-        return sum((f if f.max() <= 1 else np.minimum(f, 1.0)) @ np.ones(f.shape[2]) for f in flat)
+        """(steps, rows) number of slots carrying a spike, over all spiking
+        stages; a residual block's 2 counts once."""
+        return sum(np.count_nonzero(f.reshape(f.shape[:2] + (-1,)), axis=2)
+                   for f in self.stage_spikes.values())
 
     def sparsity(self):
         """Fraction of slot-steps carrying a spike, over all spiking stages."""
@@ -237,7 +240,6 @@ class ConvStage(Stage):
         if recording():
             c = conv2d(frames, self.k, pad=LayerSpec.pad)
             h = batchnorm2d(c, self.gamma, self.beta, self.running_mean, self.running_var)
-            c.release()     # batch norm saved its deviations
         else:
             scale = self.gamma.data / np.sqrt(self.running_var + _BN_EPS)
             # a result of k and gamma, not a leaf: the check below names the stage
@@ -248,9 +250,7 @@ class ConvStage(Stage):
         return check_finite(h, f"stage '{self.name}'")
 
     def unroll(self, frames, u0=None):
-        drive = self.drive(frames)
-        trace = lif_unroll(drive, self.lif, u0)
-        drive.release()
+        trace = lif_unroll(self.drive(frames), self.lif, u0)
         return trace.spikes, trace
 
     def parameters(self):
@@ -352,7 +352,6 @@ class LinearStage(Stage):
     def unroll(self, frames, u0=None):
         drive = check_finite(linear(frames, self.w, self.b), f"stage '{self.name}'")
         trace = lif_unroll(drive, self.lif, u0)
-        drive.release()
         return trace.spikes, trace
 
     def parameters(self):
@@ -372,16 +371,18 @@ class Model:
         self.audit = [encoder, *stages, output]
 
     def raster(self, images: Tensor) -> Tensor:
-        """The encoder's (T, N, ...) latency raster of (N, C, H, W) images."""
-        return self.encoder.unroll(images)[0]
+        """The encoder's (T, N, ...) latency raster of (N, C, H, W) images.
+        The images are data to the model (an ``autodiff.Constant``): it
+        computes no gradient for them."""
+        return self.encoder.unroll(Constant(images.data))[0]
 
     def run(self, frames: Tensor, state=None) -> ForwardRecord:
         """Map a (T, N, ...) raster block through the stages behind the encoder,
         recorded first under the encoder's name. Each LIF population starts from
         ``state[name]``, or from rest without it; a given ``state`` is left
-        holding each one's final potential, where the next block starts. On the
-        tape each stage's input frames, ``frames`` included, are released once
-        the stage has returned; the record's arrays stay readable."""
+        holding each one's final potential, where the next block starts. Each
+        stage's input frames, ``frames`` included, are released once the stage
+        has returned; the record's arrays stay readable."""
         record_frames = {self.encoder.name: frames.data}
         for stage in (*self.stages, self.output):
             out, trace = stage.unroll(frames, state.get(stage.name) if state else None)

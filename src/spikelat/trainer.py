@@ -202,7 +202,11 @@ def _keep_freed_step_memory():
     default glibc hands the freed top of the heap back to the OS every time
     and the next step faults it back in page by page, which costs vgg-mini
     (batch 128, T=4) a fifth of its step time. A top pad keeps up to
-    256 MiB of it in the process. Other C libraries are left as they are.
+    256 MiB of it in the process. It keeps heap memory only: setting it
+    also fixes glibc's mmap threshold at its 128 KiB default (glibc would
+    otherwise raise it as large blocks are freed), so every larger array,
+    most of a conv stage's, is still mapped when it is made and unmapped
+    when it is freed. Other C libraries are left as they are.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -218,9 +222,9 @@ def _train_step(model, opt, imgs, labels, cfg: TrainConfig, lr) -> float:
 
     Only the logits are kept from the forward record: its stage spikes are
     plain arrays off the tape, and dropping them leaves the tape holding
-    only what backward reads, since the model released its conv, batch-norm
-    and hidden spike values. Backward frees the graph as it walks it, and
-    only the parameters keep gradients.
+    only what backward reads, since the ops took over or the model released
+    every other value. Backward frees the graph as it walks it, and only
+    the parameters keep gradients.
     """
     logits = model.forward(Tensor(imgs), training=True).logits
     if cfg.loss == "tad":

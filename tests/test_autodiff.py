@@ -5,6 +5,7 @@ import pytest
 
 from spikelat import autodiff, network
 from spikelat.autodiff import (
+    Constant,
     Tensor,
     avg_pool2d,
     batchnorm2d,
@@ -17,6 +18,7 @@ from spikelat.autodiff import (
 )
 from spikelat.data import synth_digits
 from spikelat.errors import ContractError, GraphError, NumericsError, ShapeError
+from spikelat.lif import LifConfig, lif_unroll
 from spikelat.loss import tad_loss
 
 from helpers import check_grad, numeric_grad, rel_err, tape_nodes
@@ -514,27 +516,30 @@ class TestAccumulate:
         np.testing.assert_array_equal(t.grad, [1.5, 2.5, 3.5])
 
     def test_no_two_tape_gradients_share_memory_after_a_sew_step(self):
-        # backward drops each op result's gradient once it has been used, so
-        # each one is caught as it is handed to its node's _backward
+        # a closure owns the gradient it is handed and may write into it (batch
+        # norm and the LIF node do, and pass it on), so as each one is handed to
+        # its node's _backward it may alias no gradient still held: a leaf's, or
+        # that of a node whose turn has yet to come. Nor may it alias a value
         model, loss = step_loss("sew-mini")
         nodes = tape_nodes(loss)
         assert any(n.op == "add" for n in nodes)     # the residual
         data = [n.data for n in nodes]
-        grads = []
+        handed = []
         for n in nodes:
             if n._backward is not None:
-                def keep(g, run=n._backward):
-                    grads.append(g)
+                def keep(g, node=n, run=n._backward):
+                    held = [m.grad for m in nodes if m is not node and m.grad is not None]
+                    assert not any(np.shares_memory(g, h) for h in held), node.op
+                    assert not any(np.shares_memory(g, d) for d in data), node.op
+                    handed.append(node)
                     run(g)
                 n._backward = keep
         loss.backward()
-        grads += [t.grad for _, t in model.parameters()]
-        assert len(grads) > 20
+        assert len(handed) > 20
+        grads = [t.grad for _, t in model.parameters()]
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
                 assert not np.shares_memory(a, b)
-            for d in data:
-                assert not np.shares_memory(a, d)
 
     @pytest.mark.parametrize("preset", ["mlp-mini", "vgg-mini", "sew-mini"])
     def test_step_grads_match_the_copying_path(self, monkeypatch, preset):
@@ -679,14 +684,83 @@ class TestReleasedValues:
         with pytest.raises(ValueError):
             use(t)
 
-    def test_leaves_and_untaped_results_keep_their_values(self):
+    @pytest.mark.parametrize("taped", [True, False])
+    @pytest.mark.parametrize("consumer", ["batchnorm2d", "lif_unroll"])
+    def test_a_read_of_an_input_written_over_raises(self, taped, consumer):
+        rng = np.random.default_rng(3)
+        x, k = Tensor(rng.normal(size=(2, 3, 2, 4, 4))), Tensor(rng.normal(size=(2, 2, 3, 3)))
+        with nullcontext() if taped else no_grad():
+            c = conv2d(x, k, pad=1)
+            buffer = c.data
+            if consumer == "batchnorm2d":
+                out = batchnorm2d(c, Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                                  np.zeros(2), np.ones(2))
+            else:
+                out = lif_unroll(c, LifConfig()).potentials
+            assert c.data.size == 0 and c.shape == (2, 3, 2, 4, 4)
+            assert np.shares_memory(out.data, buffer) == (consumer == "lif_unroll")
+            with pytest.raises(ContractError, match="read the value of a released 'conv2d'"):
+                c * 2.0
+
+    @staticmethod
+    def read_before(x):
+        c = x * 1.0     # a value of its own,
+        c * 2.0         # which an op has read and saved for its backward
+        return c
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x,                        # a leaf belongs to its caller
+        lambda x: x.reshape(x.shape),       # a view of the leaf's value
+        lambda x: x[0:2],
+        sigmoid,                            # its backward reads its result
+        read_before.__func__,
+    ])
+    @pytest.mark.parametrize("consumer", ["batchnorm2d", "lif_unroll"])
+    def test_leaves_views_and_saved_values_are_not_written_over(self, make, consumer):
+        x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 2, 4, 4)))
+        before = x.data.copy()
+        t = make(x)
+        value = t.data.copy()
+        if consumer == "batchnorm2d":
+            batchnorm2d(t, Tensor(np.ones(2)), Tensor(np.zeros(2)), np.zeros(2), np.ones(2))
+        else:
+            lif_unroll(t, LifConfig())
+        assert np.array_equal(t.data, value) and np.array_equal(x.data, before)
+
+    def test_leaves_keep_their_values_and_untaped_results_drop_theirs(self):
+        # an op that writes into its input releases it with or without a tape,
+        # so release drops the value of every op result; a leaf is its caller's
         x = Tensor(np.ones(3))
         x.release()
         with no_grad():
             y = x * 2.0
         y.release()
         np.testing.assert_array_equal(x.data, np.ones(3))
-        np.testing.assert_array_equal(y.data, np.full(3, 2.0))
+        assert y.data.size == 0 and y.shape == (3,)
+        with pytest.raises(ContractError, match="read the value of a released 'mul'"):
+            with no_grad():
+                y + 1.0
+
+
+class TestConstant:
+    def test_conv2d_computes_no_gradient_for_a_constant_input(self):
+        rng = np.random.default_rng(5)
+        x, k = rng.normal(size=(3, 2, 5, 5)), rng.normal(size=(4, 2, 3, 3))
+        grads = []
+        for leaf in (Tensor, Constant):
+            xt, kt = leaf(x), Tensor(k)
+            (conv2d(xt, kt, pad=1) * 2.0).sum().backward()
+            grads.append((xt.grad, kt.grad))
+        (x_grad, k_grad), (constant_grad, k_grad_beside_constant) = grads
+        assert x_grad is not None and constant_grad is None
+        assert np.array_equal(k_grad, k_grad_beside_constant)
+
+    def test_a_constant_takes_no_gradient_from_any_op(self):
+        c = Constant(np.arange(3.0))
+        w = Tensor(np.ones(3))
+        ((c * w + c).sum() + c[1:].sum()).backward()
+        assert c.grad is None and c.op == "leaf"
+        np.testing.assert_array_equal(w.grad, np.arange(3.0))
 
 
 class TestTimeMajor:

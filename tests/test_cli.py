@@ -189,6 +189,9 @@ class TestErrorPaths:
          "training needs at least one train and one eval image, got 96 and 0"),
         ("train", "data.label_noise=-0.5", "label_noise must be in [0, 1], got -0.5"),
         ("train", "data.label_noise=1.5", "label_noise must be in [0, 1], got 1.5"),
+        ("train", "data.size=-3", "size must be >= 1, got -3"),
+        ("train", "data.size=0", "size must be >= 1, got 0"),
+        ("analyze", "data.size=-3", "size must be >= 1, got -3"),
         ("eval", "data.eval_count=-1", "count must be >= 0, got -1"),
         ("eval", "data.eval_count=0", "the eval split holds no images"),
         ("analyze", "data.eval_count=0", "the eval split holds no images"),
