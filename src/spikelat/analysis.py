@@ -176,13 +176,14 @@ def temporal_similarity(frames) -> np.ndarray:
     dot / sqrt(|a|^2 * |b|^2); on the diagonal that square root is exact,
     so self-similarity of any active vector is exactly 1.0.
     """
-    v = np.asarray(frames.data if isinstance(frames, Tensor) else frames,
-                   dtype=np.float64)
+    v = np.asarray(frames.data if isinstance(frames, Tensor) else frames)
     if v.ndim < 2 or v.shape[0] == 0 or v.shape[1] == 0:
         raise ContractError("temporal_similarity needs (T, N, ...) frames with"
                             f" T, N >= 1, got shape {v.shape}")
     v = v.reshape(len(v), v.shape[1], -1)              # (T, N, D)
-    dots = np.einsum("ind,jnd->ijn", v, v)             # (T, T, N)
+    # uint8 spikes are cast in the einsum's buffers, not copied whole; their
+    # products and sums are exact integers
+    dots = np.einsum("ind,jnd->ijn", v, v, dtype=np.float64, casting="safe")  # (T, T, N)
     # squared norms taken off the diagonal of the same sums, so a vector's
     # self-dot and its norm agree to the bit
     sq = np.diagonal(dots).T                           # (T, N)

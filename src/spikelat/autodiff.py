@@ -21,7 +21,10 @@ An op that overwrites an op result it consumes takes that value over
 (:func:`overwritable`) and releases the result itself, with or without a
 tape, so a later reader raises ``ContractError``: ``batchnorm2d`` writes its
 deviations into the conv result's buffer, and ``lif.lif_unroll`` its
-potentials into the drive's. A backward closure owns the gradient it
+potentials into the drive's. Where the conv reads spikes, ``batchnorm2d``
+writes its output there too and keeps no deviations: its backward recomputes
+the conv one step at a time (:func:`conv2d_steps`) from the spikes the conv
+keeps for its own backward. A backward closure owns the gradient it
 receives, so ``batchnorm2d`` and the LIF node write their input gradients
 into it: ``accumulate`` copies every first write that is not ``fresh``, so
 no two nodes hold one gradient at once.
@@ -408,6 +411,23 @@ def _correlate(xs, w2, K, pad):
     return out
 
 
+def _conv_operands(x, k):
+    """x's value folded to (T*N, C, H, W), and k as ``_correlate``'s (O, K*K*C) rows."""
+    c_out, C, K, _ = k.shape
+    return (x.data.reshape((-1,) + x.shape[-3:]),
+            k.data.transpose(0, 2, 3, 1).reshape(c_out, K * K * C))
+
+
+def conv2d_steps(x: Tensor, k: Tensor, pad: int = 0):
+    """A callable t -> step t of ``conv2d(x, k, pad=pad)``'s value (the whole
+    value at t = 0 for an (N, C, H, W) x), from x's and k's values as they
+    are now. It is bitwise equal to the folded conv: an image's patches and
+    GEMM do not depend on the chunk it falls in."""
+    xs, w2 = _conv_operands(x, k)
+    n, K = x.shape[-4], k.shape[-1]
+    return lambda t: _correlate(xs[t * n : (t + 1) * n], w2, K, pad)
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Stride-1 2-D cross-correlation of x (N,C,H,W) with kernels k
     (O,C,K,K), zero padding ``pad`` <= K-1; a time-major x (T,N,C,H,W) runs
@@ -435,8 +455,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: empty input {x.shape}")
     h_out, w_out = _conv_geometry(H, W, K, pad)
 
-    xs = x.data.reshape(-1, C, H, W)
-    w2 = k.data.transpose(0, 2, 3, 1).reshape(c_out, K * K * C)
+    xs, w2 = _conv_operands(x, k)
     out_data = _correlate(xs, w2, K, pad).reshape(x.shape[:-3] + (c_out, h_out, w_out))
 
     def bw(g, x=x, k=k, xs=xs, w2=w2, kd=k.data):
@@ -466,6 +485,7 @@ def batchnorm2d(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
+    recompute=None,
 ) -> Tensor:
     """Training-mode per-channel batch normalization over (N, H, W).
 
@@ -476,6 +496,12 @@ def batchnorm2d(
     A time-major x (T,N,C,H,W) is normalized step by step: each
     timestep has its own batch statistics and updates the running buffers
     once, in step order, exactly as T calls on the (N,C,H,W) steps would.
+
+    Backward reads the deviations x - mu, which the tape keeps (in x's
+    buffer when it is ours to overwrite) unless ``recompute`` is given: a
+    callable t -> x's value at step t, bitwise (:func:`conv2d_steps`). Then
+    the output overwrites the deviations, and backward rebuilds them one
+    step at a time from the callable and ``mu``.
     """
     if x.ndim not in (4, 5):
         raise ShapeError("batchnorm2d expects x (N,C,H,W) or (T,N,C,H,W)")
@@ -487,7 +513,6 @@ def batchnorm2d(
     m = N * H * W
 
     mu = x5.mean(axis=(1, 3, 4))
-    # deviations, in x's buffer when it is ours to overwrite; backward reuses them
     d = np.subtract(x5, mu[:, None, :, None, None], out=x5 if owned else None)
     var = np.einsum("tnchw,tnchw->tc", d, d) / m
     unbiased = var * (m / (m - 1)) if m > 1 else var
@@ -497,24 +522,33 @@ def batchnorm2d(
         running_var *= 1.0 - _BN_MOMENTUM
         running_var += _BN_MOMENTUM * var_t
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)      # (T, C)
-    out_data = d * (gamma.data * inv_std)[:, None, :, None, None]
+    out_data = np.multiply(d, (gamma.data * inv_std)[:, None, :, None, None],
+                           out=None if recompute is None else d)
     out_data += beta.data[:, None, None]
 
-    def bw(g, x=x, gamma=gamma, beta=beta, d=d, inv_std=inv_std, m=m, gd=gamma.data):
-        g = g.reshape(d.shape)
-        sum_g = np.einsum("tnchw->tc", g)
-        sum_gd = np.einsum("tnchw,tnchw->tc", g, d)
+    def bw(g, x=x, gamma=gamma, beta=beta, d=d if recompute is None else None, mu=mu,
+           inv_std=inv_std, m=m, gd=gamma.data, shape=x5.shape):
+        g = g.reshape(shape)
+        scale = gd * inv_std
+        sum_g, sum_gd = np.empty_like(inv_std), np.empty_like(inv_std)
+        for t, g_t in enumerate(g):
+            if d is None:
+                d_t = recompute(t)
+                d_t -= mu[t][:, None, None]
+            else:
+                d_t = d[t]
+            sum_g[t] = np.einsum("nchw->c", g_t)
+            sum_gd[t] = np.einsum("nchw,nchw->c", g_t, d_t)
+            # batch statistics depend on x, so the full Jacobian applies:
+            # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std,
+            # written into g; d is scaled in place, since a tape serves one backward
+            dx = np.multiply(g_t, scale[t][:, None, None], out=g_t)
+            d_t *= (scale[t] * inv_std[t]**2 * sum_gd[t] / m)[:, None, None]
+            dx -= d_t
+            dx -= (scale[t] * sum_g[t] / m)[:, None, None]
         gamma.accumulate((sum_gd * inv_std).sum(axis=0))
         beta.accumulate(sum_g.sum(axis=0))
-        scale = gd * inv_std
-        # batch statistics depend on x, so the full Jacobian applies:
-        # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std,
-        # written into g; d is scaled in place, since a tape serves one backward
-        dx = np.multiply(g, scale[:, None, :, None, None], out=g)
-        d *= (scale * inv_std**2 * sum_gd / m)[:, None, :, None, None]
-        dx -= d
-        dx -= (scale * sum_g / m)[:, None, :, None, None]
-        x.accumulate(dx.reshape(x.shape), fresh=True)
+        x.accumulate(g.reshape(x.shape), fresh=True)
 
     out = Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d", bw)
     if owned:

@@ -48,11 +48,18 @@ class Dataset:
         return self.images.shape[0]
 
 
-def seeded_rng(what, seed, **values):
-    """numpy's generator for ``seed``, once it and every other value are >= 0."""
-    for name, value in {what: seed, **values}.items():
+MAX_SYNTH_COUNT = 1_000_000   # images in one synthetic split: 2 GB of 16x16 float64 digits
+
+
+def seeded_rng(what, seed, count=0, **values):
+    """numpy's generator for ``seed``, once it and every other value are >= 0
+    and ``count``, the images a generator will draw, is at most
+    ``MAX_SYNTH_COUNT``: checked before anything is allocated."""
+    for name, value in {what: seed, "count": count, **values}.items():
         if value < 0:
             raise ContractError(f"{name} must be >= 0, got {value}")
+    if count > MAX_SYNTH_COUNT:
+        raise ContractError(f"count must be <= {MAX_SYNTH_COUNT}, got {count}")
     return np.random.default_rng(seed)
 
 

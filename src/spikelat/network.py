@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (_BN_EPS, Constant, Tensor, _conv_geometry, avg_pool2d, batchnorm2d,
-                       check_finite, conv2d, linear, no_grad, recording, sigmoid)
+                       check_finite, conv2d, conv2d_steps, linear, no_grad, recording,
+                       sigmoid)
 from .data import seeded_rng
 from .encoder import latency_encode
 from .errors import ShapeError, SpecError
@@ -232,14 +233,20 @@ class ConvStage(Stage):
         checked for NaN and Inf: what follows a drive could hide them.
 
         While the tape records, the batch norm uses batch statistics and
-        updates the running buffers. Without it (eval mode) the batch norm
-        is affine per channel, so it folds into the conv (Jacob et al., CVPR
-        2018): one conv on the kernel scaled by gamma/sqrt(running_var+eps),
-        then the shift beta - running_mean*scale.
+        updates the running buffers. On uint8 spike frames it keeps no
+        deviations: its backward recomputes the conv step by step from the
+        spikes, which the conv's backward keeps anyway (Chen et al.,
+        "Training Deep Nets with Sublinear Memory Cost", 2016). Without the
+        tape (eval mode) the batch norm is affine per channel, so it folds
+        into the conv (Jacob et al., CVPR 2018): one conv on the kernel
+        scaled by gamma/sqrt(running_var+eps), then the shift
+        beta - running_mean*scale.
         """
         if recording():
             c = conv2d(frames, self.k, pad=LayerSpec.pad)
-            h = batchnorm2d(c, self.gamma, self.beta, self.running_mean, self.running_var)
+            spikes = frames.data.dtype == np.uint8
+            h = batchnorm2d(c, self.gamma, self.beta, self.running_mean, self.running_var,
+                            conv2d_steps(frames, self.k, LayerSpec.pad) if spikes else None)
         else:
             scale = self.gamma.data / np.sqrt(self.running_var + _BN_EPS)
             # a result of k and gamma, not a leaf: the check below names the stage

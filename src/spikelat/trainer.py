@@ -202,11 +202,13 @@ def _keep_freed_step_memory():
     default glibc hands the freed top of the heap back to the OS every time
     and the next step faults it back in page by page, which costs vgg-mini
     (batch 128, T=4) a fifth of its step time. A top pad keeps up to
-    256 MiB of it in the process. It keeps heap memory only: setting it
-    also fixes glibc's mmap threshold at its 128 KiB default (glibc would
-    otherwise raise it as large blocks are freed), so every larger array,
-    most of a conv stage's, is still mapped when it is made and unmapped
-    when it is freed. Other C libraries are left as they are.
+    256 MiB of it in the process. Setting it also stops glibc from moving
+    its mmap threshold, which it raises to the size of each mapped block
+    freed: the threshold stays wherever set-up left it, above a step's
+    arrays in practice, so they come from the padded heap too (a vgg-mini
+    step at batch 128 holds at most about 1 MB mapped, against about 16 MB
+    of heap in use). An explicit threshold did not move the peak resident
+    memory reliably, so none is set. Other C libraries are left as they are.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -23,6 +23,8 @@ from spikelat.encoder import latency_encode
 from spikelat.errors import ContractError
 from spikelat.network import build_model, flops_conv, flops_fc, preset_spec
 
+from helpers import traced_peak
+
 
 class TestFlopCounts:
     def test_conv_formula(self):
@@ -195,6 +197,13 @@ class TestTemporalSimilarity:
         m = temporal_similarity(frames)
         assert np.all(m >= 0.0)
         assert np.all(m <= 1.0)
+
+    def test_spike_bytes_give_the_float64_matrix_bitwise_without_a_float64_copy(self):
+        # s0's frames for 64 digits; dots reach 4 * 2048, beyond a byte
+        frames = np.random.default_rng(5).integers(0, 3, size=(4, 64, 8, 16, 16), dtype=np.uint8)
+        got, peak = traced_peak(temporal_similarity, frames)
+        assert np.array_equal(got, temporal_similarity(frames.astype(np.float64)))
+        assert peak < frames.size * 8 / 4, peak
 
     @pytest.mark.parametrize("shape", [(0, 2, 3), (3, 0, 4), (3,)])
     def test_rejects_frames_without_steps_or_samples(self, shape):

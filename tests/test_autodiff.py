@@ -742,6 +742,66 @@ class TestReleasedValues:
                 y + 1.0
 
 
+class TestRecomputedDeviations:
+    """``batchnorm2d``'s ``recompute``: backward rebuilds each step's deviations
+    from ``conv2d_steps`` instead of keeping them, bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5, 2, 4, 4), (5, 2, 4, 4)])
+    def test_conv2d_steps_equal_the_folded_conv_in_any_chunking(self, monkeypatch, dtype,
+                                                                shape):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.integers(0, 3, size=shape).astype(dtype))
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        # chunks of 2 images: the folded batch of 15 splits them across steps
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 2 * 8 * 9 * 2 * 4 * 6)
+        want = conv2d(x, k, pad=1).data.reshape((-1, 5, 3, 4, 4))
+        steps = autodiff.conv2d_steps(x, k, pad=1)
+        for t, want_t in enumerate(want):
+            assert np.array_equal(steps(t), want_t)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 2, 4, 4), (5, 2, 4, 4)])
+    @pytest.mark.parametrize("owned", [True, False])
+    def test_batchnorm_equals_keeping_the_deviations(self, shape, owned):
+        rng = np.random.default_rng(22)
+        x0 = rng.integers(0, 2, size=shape).astype(np.uint8)
+        k0, gamma0, beta0 = rng.normal(size=(3, 2, 3, 3)), rng.uniform(0.5, 1.5, 3), \
+            rng.normal(size=3)
+        proj = rng.normal(size=shape[:-3] + (3, 4, 4))
+
+        def run(recompute):
+            x, k, gamma, beta = Tensor(x0), Tensor(k0), Tensor(gamma0), Tensor(beta0)
+            buffers = np.zeros(3), np.ones(3)
+            c = conv2d(x, k, pad=1)
+            buffer = c.data
+            if not owned:
+                c * 1.0     # read once, so batch norm may not write into it
+            steps = autodiff.conv2d_steps(x, k, pad=1) if recompute else None
+            out = batchnorm2d(c, gamma, beta, *buffers, steps)
+            assert np.shares_memory(out.data, buffer) == (owned and recompute)
+            value = out.data.copy()
+            (out * Tensor(proj)).sum().backward()
+            return [value, *buffers, x.grad, k.grad, gamma.grad, beta.grad]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
+
+    def test_backward_recomputes_one_step_at_a_time(self):
+        rng = np.random.default_rng(23)
+        x, k = Tensor(rng.normal(size=(4, 3, 2, 4, 4))), Tensor(rng.normal(size=(2, 2, 3, 3)))
+        steps, asked = autodiff.conv2d_steps(x, k, pad=1), []
+
+        def recompute(t):
+            asked.append(t)
+            return steps(t)
+
+        out = batchnorm2d(conv2d(x, k, pad=1), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                          np.zeros(2), np.ones(2), recompute)
+        assert asked == []
+        out.sum().backward()
+        assert asked == [0, 1, 2, 3]
+
+
 class TestConstant:
     def test_conv2d_computes_no_gradient_for_a_constant_input(self):
         rng = np.random.default_rng(5)

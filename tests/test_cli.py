@@ -192,6 +192,10 @@ class TestErrorPaths:
         ("train", "data.size=-3", "size must be >= 1, got -3"),
         ("train", "data.size=0", "size must be >= 1, got 0"),
         ("analyze", "data.size=-3", "size must be >= 1, got -3"),
+        ("train", "data.train_count=100000000000",
+         "count must be <= 1000000, got 100000000000"),
+        ("train", "data.eval_count=100000000000",
+         "count must be <= 1000000, got 100000000000"),
         ("eval", "data.eval_count=-1", "count must be >= 0, got -1"),
         ("eval", "data.eval_count=0", "the eval split holds no images"),
         ("analyze", "data.eval_count=0", "the eval split holds no images"),

@@ -5,6 +5,7 @@ import pytest
 
 from spikelat.data import (
     CORRUPTIONS,
+    MAX_SYNTH_COUNT,
     Dataset,
     batches,
     corrupt,
@@ -156,6 +157,13 @@ class TestSynthDigits:
     def test_all_ten_digits_appear(self):
         ds = synth_digits(300, seed=1)
         assert set(np.unique(ds.labels)) == set(range(10))
+
+
+@pytest.mark.parametrize("make", [lambda n: synth_blobs(n, classes=3), synth_digits])
+def test_a_count_above_the_bound_is_refused_before_anything_is_allocated(make):
+    with pytest.raises(ContractError,
+                       match=f"count must be <= {MAX_SYNTH_COUNT}, got 100000000000"):
+        make(10**11)
 
 
 class TestCorruptions:
