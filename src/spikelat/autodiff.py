@@ -25,9 +25,10 @@ potentials into the drive's. Where the conv reads spikes, ``batchnorm2d``
 writes its output there too and keeps no deviations: its backward recomputes
 the conv one step at a time (:func:`conv2d_steps`) from the spikes the conv
 keeps for its own backward. A backward closure owns the gradient it
-receives, so ``batchnorm2d`` and the LIF node write their input gradients
-into it: ``accumulate`` copies every first write that is not ``fresh``, so
-no two nodes hold one gradient at once.
+receives and hands each parent an array no other node holds, which
+``accumulate`` keeps on a first write: ``batchnorm2d`` and the LIF node hand
+on the gradient they receive, rewritten in place. Only ``add``, which has
+one gradient for two parents, and ``sum``, a read-only broadcast, copy.
 
 Values are 64-bit floats, except spike values, which are ``uint8`` counts:
 the latency raster, the LIF spikes and the residual sum of two spike
@@ -156,16 +157,11 @@ class Tensor:
         if self.op != "leaf":
             self.data = _RELEASED
 
-    def accumulate(self, g, fresh=False):
-        """Add ``g`` into the gradient. A first write copies it (no zero fill,
-        no alias), unless ``fresh`` says the caller allocated ``g`` for this
-        node alone, with this node's shape: then it is kept as it is."""
+    def accumulate(self, g):
+        """Take over ``g``, a float64 array of this node's shape that no other
+        node holds: a first write keeps it, later writes add into it."""
         if self.grad is None:
-            if fresh:
-                self.grad = g
-            else:
-                self.grad = np.empty(self.shape)
-                self.grad[...] = g
+            self.grad = g
         else:
             self.grad += g
 
@@ -204,7 +200,7 @@ class Tensor:
                 if p.id not in nodes:
                     nodes[p.id] = p
                     stack.append(p)
-        self.accumulate(np.ones_like(self.data))
+        self.accumulate(np.ones(self.shape))
         for i in sorted(nodes, reverse=True):
             node = nodes.pop(i)
             if node._backward is not None and node.grad is not None:
@@ -219,7 +215,7 @@ class Tensor:
             _same_shape(self, other, "add")
 
             def bw(g, a=self, b=other):
-                a.accumulate(g)
+                a.accumulate(g.copy())
                 b.accumulate(g)
 
             return Tensor(self.data + other.data, (self, other), "add", bw)
@@ -259,7 +255,7 @@ class Tensor:
             if a.grad is None:      # and stays None for a Constant
                 grad = np.zeros(a.shape)
                 grad[idx] += g
-                a.accumulate(grad, fresh=True)
+                a.accumulate(grad)
             else:
                 a.grad[idx] += g
 
@@ -271,15 +267,12 @@ class Tensor:
         def bw(g, a=self, axis=axis, keepdims=keepdims):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(g, a.shape))
+            a.accumulate(np.broadcast_to(g, a.shape).copy())
 
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", bw)
 
     def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
+        n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def reshape(self, *shape):
@@ -313,7 +306,7 @@ class Constant(Tensor):
 
     __slots__ = ()
 
-    def accumulate(self, g, fresh=False):
+    def accumulate(self, g):
         pass
 
 
@@ -350,7 +343,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, x=x, w=w, b=b, x2=x2, wd=w.data):
         g2 = g.reshape(x2.shape[0], -1)
-        x.accumulate((g2 @ wd.T).reshape(x.shape), fresh=True)
+        x.accumulate((g2 @ wd.T).reshape(x.shape))
         w.accumulate(x2.astype(np.float64, copy=False).T @ g2)
         b.accumulate(g2.sum(axis=0))
 
@@ -428,7 +421,7 @@ def conv2d_steps(x: Tensor, k: Tensor, pad: int = 0):
     return lambda t: _correlate(xs[t * n : (t + 1) * n], w2, K, pad)
 
 
-def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
     """Stride-1 2-D cross-correlation of x (N,C,H,W) with kernels k
     (O,C,K,K), zero padding ``pad`` <= K-1; a time-major x (T,N,C,H,W) runs
     once on its folded (T*N,C,H,W) view.
@@ -439,8 +432,6 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     K-1-pad, with the flipped, channel-transposed kernel (Dumoulin & Visin,
     "A guide to convolution arithmetic for deep learning", 2016).
     """
-    if stride != 1:
-        raise ContractError(f"conv2d supports stride 1 only, got {stride}")
     if x.ndim not in (4, 5) or k.ndim != 4:
         raise ShapeError("conv2d expects x (N,C,H,W) or (T,N,C,H,W) and k (O,C,K,K)")
     C, H, W = x.shape[-3:]
@@ -462,7 +453,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         g = g.reshape(-1, c_out, h_out, w_out)
         if not isinstance(x, Constant):
             flipped = kd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, K * K * c_out)
-            x.accumulate(_correlate(g, flipped, K, K - 1 - pad).reshape(x.shape), fresh=True)
+            x.accumulate(_correlate(g, flipped, K, K - 1 - pad).reshape(x.shape))
         dw, grid = np.zeros_like(w2), None
         for c, p in _patch_chunks(xs, K, pad):
             n = len(p)
@@ -548,7 +539,7 @@ def batchnorm2d(
             dx -= (scale[t] * sum_g[t] / m)[:, None, None]
         gamma.accumulate((sum_gd * inv_std).sum(axis=0))
         beta.accumulate(sum_g.sum(axis=0))
-        x.accumulate(g.reshape(x.shape), fresh=True)
+        x.accumulate(g.reshape(x.shape))
 
     out = Tensor(out_data.reshape(x.shape), (x, gamma, beta), "batchnorm2d", bw)
     if owned:
@@ -565,7 +556,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s = np.where(d >= 0, 1.0 / q, e / q)
 
     def bw(g, x=x, s=s):
-        x.accumulate(g * s * (1.0 - s), fresh=True)
+        x.accumulate(g * s * (1.0 - s))
 
     return Tensor(s, (x,), "sigmoid", bw)
 
@@ -604,6 +595,6 @@ def avg_pool2d(x: Tensor, size: int) -> Tensor:
         g = g / len(offsets)
         for o in offsets:
             dx[o] = g
-        x.accumulate(dx, fresh=True)
+        x.accumulate(dx)
 
     return Tensor(out_data, (x,), "avg_pool2d", bw)

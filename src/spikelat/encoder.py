@@ -22,11 +22,13 @@ from .errors import ContractError
 # keeps ceil() away from 0 and T*1.0 exactly at the boundaries
 _EDGE = 1e-12
 
+MAX_TIMESTEPS = 1024   # steps in one latency window: 64x the longest preset window (16)
+
 
 def spike_time(x, timesteps: int) -> np.ndarray:
     """Map intensities in [0, 1] to integer spike steps in [1, timesteps]."""
-    if timesteps < 1:
-        raise ContractError(f"timesteps must be >= 1, got {timesteps}")
+    if not 1 <= timesteps <= MAX_TIMESTEPS:
+        raise ContractError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got {timesteps}")
     x = np.clip(np.asarray(x, dtype=np.float64), _EDGE, 1.0 - _EDGE)
     t = np.ceil((1.0 - x) * timesteps).astype(np.int64)
     return np.clip(t, 1, timesteps)
@@ -43,7 +45,7 @@ def latency_encode(features: Tensor, timesteps: int) -> Tensor:
     steps = np.arange(1, timesteps + 1).reshape((-1,) + (1,) * t_s.ndim)
 
     def bw(g, f=features):
-        f.accumulate(g.sum(axis=0), fresh=True)
+        f.accumulate(g.sum(axis=0))
 
     return Tensor((t_s == steps).view(np.uint8), (features,), "latency_encode", bw)
 

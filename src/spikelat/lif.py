@@ -9,6 +9,7 @@ The spike itself is a step function. On the backward pass its derivative is
 replaced by a rectangular window around the threshold, which is what makes
 end-to-end training through spike times possible. The reset path is left
 differentiable by default; ``detach_reset`` cuts it for comparison runs.
+A population runs in one pass over time, built one way for train and eval.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, overwritable
+from .autodiff import Tensor, overwritable, recording
 from .errors import ContractError, check_positive
 
 
@@ -32,9 +33,6 @@ class LifConfig:
             raise ContractError(f"tau_leak must be in [0, 1], got {self.tau_leak}")
         check_positive("v_th", self.v_th)
         check_positive("surrogate_width", self.surrogate_width)
-
-
-_SLICE_BYTES = 1 << 20   # bytes of potentials per slice of the window mask
 
 
 @dataclass
@@ -55,8 +53,10 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
     recurrence is one tape node whose backward is the explicit adjoint,
     swept in place from the last step: du_pre = dU + du + (dS - v_th*du) *
     window(u_pre), then du = tau*du_pre (no v_th term with
-    ``detach_reset``); du starts as the gradient of ``final``. The node saves
-    where the window is open, one boolean per potential, not the potentials.
+    ``detach_reset``); du starts as the gradient of ``final``. While the tape
+    records, each step notes where the window |u_pre - v_th| <= width/2 is
+    open (in ``u``, before the reset overwrites it): the node saves these
+    booleans, not the potentials.
 
     Spikes are uint8. The potentials accumulate in the currents' buffer when
     it may be overwritten (``autodiff.overwritable``; ``drive[t] + tau*u``
@@ -70,10 +70,14 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
     pots = currents.data if owned else np.array(currents.data, dtype=np.float64)
     spikes = np.empty(pots.shape, dtype=np.uint8)
     fired = spikes.view(bool)
+    inside = np.empty(pots.shape, dtype=bool) if recording() else None
     u = np.zeros(pots.shape[1:]) if u0 is None else np.array(u0, dtype=np.float64)
     for t in range(len(pots)):
         u *= tau
         pots[t] += u
+        if inside is not None:
+            np.abs(np.subtract(pots[t], v_th, out=u), out=u)
+            np.less_equal(u, 0.5 * cfg.surrogate_width, out=inside[t])
         np.greater_equal(pots[t], v_th, out=fired[t])
         np.multiply(fired[t], v_th, out=u)
         np.subtract(pots[t], u, out=u)
@@ -96,21 +100,11 @@ def lif_unroll(currents, cfg: LifConfig, u0=None) -> LifTrace:
                 d_u *= keep
             d_drive[t] += d_u
             np.multiply(d_drive[t], tau, out=d_u)
-        currents.accumulate(d_drive, fresh=True)
+        currents.accumulate(d_drive)
 
     s = Tensor(spikes, (currents,), "lif_unroll", bw)
     if owned:
         currents.release()
-    if not s.parents:       # made without a tape: nothing will hand gradients over
-        return LifTrace(s, Tensor(pots, (s,), "lif_potentials"), Tensor(u, (s,), "lif_final"))
-    # where the window is open, |u_pre - v_th| <= width/2, with a small float scratch
-    inside = np.empty(pots.shape, dtype=bool)
-    step = max(1, _SLICE_BYTES // max(1, pots[0].nbytes))
-    for t in range(0, len(pots), step):
-        d = pots[t : t + step] - v_th
-        np.less_equal(np.abs(d, out=d), 0.5 * cfg.surrogate_width, out=inside[t : t + step])
-        del d   # before the next slice's scratch is made
-
     # no reference from s to its children: the graph stays free of cycles
     def hand_over(name):
         def bw(g, s=s):

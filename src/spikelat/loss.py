@@ -121,7 +121,7 @@ def tad_loss(step_logits, labels, tau: float = 2.0,
         if not detach_weights:
             spread = ((ce - per_sample[:, None]) / tau).T[..., None]
             d += spread * _d_certainty(p, logp, ent)
-        o.accumulate((g * (1.0 / n) * w).T[..., None] * d, fresh=True)
+        o.accumulate((g * (1.0 / n) * w).T[..., None] * d)
 
     return Tensor(per_sample.sum() * (1.0 / n), (o,), "tad_loss", bw)
 

@@ -45,9 +45,12 @@ from .autodiff import (_BN_EPS, Constant, Tensor, _conv_geometry, avg_pool2d, ba
                        check_finite, conv2d, conv2d_steps, linear, no_grad, recording,
                        sigmoid)
 from .data import seeded_rng
-from .encoder import latency_encode
+from .encoder import MAX_TIMESTEPS, latency_encode
 from .errors import ShapeError, SpecError
 from .lif import LifConfig, lif_unroll
+
+
+MAX_WIDTH = 4096   # channels of a conv or units of a linear layer: 32x the widest preset (128)
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ class LayerSpec:
             raise SpecError(f"unknown layer kind {self.kind!r}")
         if self.kind in ("conv", "sew", "linear") and self.out < 1:
             raise SpecError(f"{self.kind} layer needs out >= 1, got {self.out}")
+        if self.out > MAX_WIDTH:
+            raise SpecError(f"{self.kind} layer needs out <= {MAX_WIDTH}, got {self.out}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +85,11 @@ class ModelSpec:
             raise SpecError(f"input_shape must be (C, H, W), got {self.input_shape}")
         if self.classes < 2:
             raise SpecError("need at least two classes")
-        if self.timesteps < 1:
-            raise SpecError("timesteps must be >= 1")
-        if self.encoder_channels < 1:
-            raise SpecError("encoder_channels must be >= 1")
+        if not 1 <= self.timesteps <= MAX_TIMESTEPS:
+            raise SpecError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got {self.timesteps}")
+        if not 1 <= self.encoder_channels <= MAX_WIDTH:
+            raise SpecError(f"encoder_channels must be in [1, {MAX_WIDTH}],"
+                            f" got {self.encoder_channels}")
 
 
 PRESETS = ("mlp-mini", "vgg-mini", "sew-mini")

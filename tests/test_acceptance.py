@@ -151,10 +151,10 @@ def test_criterion_01_gradients():
         x = rng.normal(size=(1, 2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         if i % 2 == 0:
-            check_grad(lambda t: project(conv2d(t, Tensor(k), stride=1, pad=1),
+            check_grad(lambda t: project(conv2d(t, Tensor(k), pad=1),
                                          np.random.default_rng(i)), x)
         else:
-            check_grad(lambda t: project(conv2d(Tensor(x), t, stride=1, pad=1),
+            check_grad(lambda t: project(conv2d(Tensor(x), t, pad=1),
                                          np.random.default_rng(i)), k)
 
     for i in range(20):

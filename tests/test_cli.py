@@ -214,6 +214,16 @@ class TestErrorPaths:
          "conv layer needs out >= 1, got 0"),
         ("train", "model.preset=vgg-mini model.width=-2",
          "conv layer needs out >= 1, got -2"),
+        ("train", "model.timesteps=1000000000",
+         "timesteps must be in [1, 1024], got 1000000000"),
+        ("train", "model.hidden=100000000000",
+         "linear layer needs out <= 4096, got 100000000000"),
+        ("train", "model.preset=vgg-mini model.width=100000000000",
+         "conv layer needs out <= 4096, got 100000000000"),
+        ("train", "model.encoder_channels=100000000000",
+         "encoder_channels must be in [1, 4096], got 100000000000"),
+        ("encode-demo", "model.timesteps=10000000",
+         "timesteps must be in [1, 1024], got 10000000"),
     ])
     def test_bad_numeric_setting_is_runtime_error(self, tmp_path, capsys, request,
                                                   command, settings, message):
@@ -221,6 +231,8 @@ class TestErrorPaths:
             args = ["train", "--out", str(tmp_path / "run")]
         elif command == "eval":
             args = ["eval", "--checkpoint", str(tmp_path / "none.ckpt")]
+        elif command == "encode-demo":
+            args = ["encode-demo"]
         else:
             args = ["analyze", "--checkpoint",
                     request.getfixturevalue("trained_checkpoint"),
@@ -233,6 +245,8 @@ class TestErrorPaths:
         if command == "train":
             # every setting is checked before the run directory is made
             assert not (tmp_path / "run").exists()
+        if command == "encode-demo":
+            assert captured.out == ""
         if command == "analyze":
             # a failing analyze prints no report line and writes no file
             assert captured.out == ""
