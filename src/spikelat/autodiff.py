@@ -20,15 +20,16 @@ value, and the tape holds only what backward reads.
 An op that overwrites an op result it consumes takes that value over
 (:func:`overwritable`) and releases the result itself, with or without a
 tape, so a later reader raises ``ContractError``: ``batchnorm2d`` writes its
-deviations into the conv result's buffer, and ``lif.lif_unroll`` its
-potentials into the drive's. Where the conv reads spikes, ``batchnorm2d``
-writes its output there too and keeps no deviations: its backward recomputes
-the conv one step at a time (:func:`conv2d_steps`) from the spikes the conv
-keeps for its own backward. A backward closure owns the gradient it
-receives and hands each parent an array no other node holds, which
-``accumulate`` keeps on a first write: ``batchnorm2d`` and the LIF node hand
-on the gradient they receive, rewritten in place. Only ``add``, which has
-one gradient for two parents, and ``sum``, a read-only broadcast, copy.
+output into the conv result's buffer, and ``lif.lif_unroll`` its potentials
+into the drive's. ``batchnorm2d`` keeps no deviations x - mu, whatever its
+input: backward rebuilds them step by step from a recorded conv's input and
+kernel, which the conv keeps anyway, or else from x's value, which the tape
+then keeps (Chen et al., "Training Deep Nets with Sublinear Memory Cost",
+2016). A backward closure owns the gradient it receives and hands each
+parent an array no other node holds, which ``accumulate`` keeps on a first
+write: ``batchnorm2d`` and the LIF node hand on the gradient they receive,
+rewritten in place. Only ``add``, which has one gradient for two parents,
+and ``sum``, a read-only broadcast, copy.
 
 Values are 64-bit floats, except spike values, which are ``uint8`` counts:
 the latency raster, the LIF spikes and the residual sum of two spike
@@ -56,7 +57,8 @@ statistics into the conv before it (``network.ConvStage.drive``).
 
 ``conv2d`` is stride-1 only. Its input gradient is the same chunked
 shift-GEMM as its forward pass, run on the upstream gradient with the
-flipped, channel-transposed kernel.
+flipped, channel-transposed kernel; its kernel gradient reads the same
+patches of the upstream gradient, so no backward patches a conv's input.
 """
 from __future__ import annotations
 
@@ -411,26 +413,18 @@ def _conv_operands(x, k):
             k.data.transpose(0, 2, 3, 1).reshape(c_out, K * K * C))
 
 
-def conv2d_steps(x: Tensor, k: Tensor, pad: int = 0):
-    """A callable t -> step t of ``conv2d(x, k, pad=pad)``'s value (the whole
-    value at t = 0 for an (N, C, H, W) x), from x's and k's values as they
-    are now. It is bitwise equal to the folded conv: an image's patches and
-    GEMM do not depend on the chunk it falls in."""
-    xs, w2 = _conv_operands(x, k)
-    n, K = x.shape[-4], k.shape[-1]
-    return lambda t: _correlate(xs[t * n : (t + 1) * n], w2, K, pad)
-
-
 def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
     """Stride-1 2-D cross-correlation of x (N,C,H,W) with kernels k
     (O,C,K,K), zero padding ``pad`` <= K-1; a time-major x (T,N,C,H,W) runs
     once on its folded (T*N,C,H,W) view.
 
     Forward and backward walk the batch in cache-sized chunks and rebuild
-    each chunk's patches instead of keeping them on the tape. The input
-    gradient is the forward conv of the upstream gradient, padded by
-    K-1-pad, with the flipped, channel-transposed kernel (Dumoulin & Visin,
-    "A guide to convolution arithmetic for deep learning", 2016).
+    each chunk's patches instead of keeping them on the tape. Backward
+    patches only the upstream gradient, padded by K-1-pad: the input
+    gradient is its forward conv with the flipped, channel-transposed kernel
+    (Dumoulin & Visin, "A guide to convolution arithmetic for deep
+    learning", 2016), and the kernel gradient contracts the same patches
+    with the input laid on their grid.
     """
     if x.ndim not in (4, 5) or k.ndim != 4:
         raise ShapeError("conv2d expects x (N,C,H,W) or (T,N,C,H,W) and k (O,C,K,K)")
@@ -449,19 +443,22 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
     xs, w2 = _conv_operands(x, k)
     out_data = _correlate(xs, w2, K, pad).reshape(x.shape[:-3] + (c_out, h_out, w_out))
 
-    def bw(g, x=x, k=k, xs=xs, w2=w2, kd=k.data):
+    def bw(g, x=x, k=k, xs=xs, kd=k.data):
         g = g.reshape(-1, c_out, h_out, w_out)
-        if not isinstance(x, Constant):
-            flipped = kd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, K * K * c_out)
-            x.accumulate(_correlate(g, flipped, K, K - 1 - pad).reshape(x.shape))
-        dw, grid = np.zeros_like(w2), None
-        for c, p in _patch_chunks(xs, K, pad):
+        flipped = kd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, K * K * c_out)
+        dx, dw, grid = np.empty(xs.shape), np.zeros(flipped.shape), None
+        # patch rows are (flipped offset, out channel), columns x's pixels on a
+        # grid W+K-1 wide, whose columns >= W are scratch
+        for c, p in _patch_chunks(g, K, K - 1 - pad):
             n = len(p)
+            if not isinstance(x, Constant):     # which takes no gradient
+                dx[c] = (flipped @ p).reshape(n, C, H, W + K - 1)[..., :W]
             if grid is None:    # the first chunk is the largest; scratch columns stay 0
-                grid = np.zeros((n, c_out, h_out, W + 2 * pad))
-            grid[:n, ..., :w_out] = g[c]
-            dw += (grid[:n].reshape(n, c_out, -1) @ p.transpose(0, 2, 1)).sum(axis=0)
-        k.accumulate(dw.reshape(c_out, K, K, C).transpose(0, 3, 1, 2))
+                grid = np.zeros((n, C, H, W + K - 1))
+            grid[:n, ..., :W] = xs[c]
+            dw += (grid[:n].reshape(n, C, -1) @ p.transpose(0, 2, 1)).sum(axis=0)
+        x.accumulate(dx.reshape(x.shape))
+        k.accumulate(dw.reshape(C, K, K, c_out)[:, ::-1, ::-1].transpose(3, 0, 1, 2))
 
     return Tensor(out_data, (x, k), "conv2d", bw)
 
@@ -476,7 +473,6 @@ def batchnorm2d(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    recompute=None,
 ) -> Tensor:
     """Training-mode per-channel batch normalization over (N, H, W).
 
@@ -488,20 +484,29 @@ def batchnorm2d(
     timestep has its own batch statistics and updates the running buffers
     once, in step order, exactly as T calls on the (N,C,H,W) steps would.
 
-    Backward reads the deviations x - mu, which the tape keeps (in x's
-    buffer when it is ours to overwrite) unless ``recompute`` is given: a
-    callable t -> x's value at step t, bitwise (:func:`conv2d_steps`). Then
-    the output overwrites the deviations, and backward rebuilds them one
-    step at a time from the callable and ``mu``.
+    The tape keeps no deviations x - mu: backward rebuilds them step by
+    step, recomputing a recorded ``conv2d`` x, bitwise, from the input and
+    kernel the conv keeps, or else reading x's value, which the tape then
+    keeps. Only in the first case, or without a tape, may the output take
+    over x's buffer (:func:`overwritable`).
     """
     if x.ndim not in (4, 5):
         raise ShapeError("batchnorm2d expects x (N,C,H,W) or (T,N,C,H,W)")
     if x.size == 0:
         raise ShapeError(f"batchnorm2d: empty input {x.shape}")
-    owned = overwritable(x)
     x5 = x.data.reshape((-1,) + x.shape[-4:])
     _, N, C, H, W = x5.shape
     m = N * H * W
+    if x.op == "conv2d" and x.parents:
+        # bitwise: an image's patches and GEMM do not depend on the chunk it falls in
+        src, k = x.parents
+        (xs, w2), K = _conv_operands(src, k), k.shape[-1]
+        pad = (H - src.shape[-2] + K - 1) // 2      # stride 1: H = H_src + 2*pad - K + 1
+        step = lambda t: _correlate(xs[t * N : (t + 1) * N], w2, K, pad)
+        owned = overwritable(x)
+    else:   # a copy, which backward may scale in place
+        step = lambda t: x5[t].astype(np.float64)
+        owned = overwritable(x) and not _recording
 
     mu = x5.mean(axis=(1, 3, 4))
     d = np.subtract(x5, mu[:, None, :, None, None], out=x5 if owned else None)
@@ -513,26 +518,22 @@ def batchnorm2d(
         running_var *= 1.0 - _BN_MOMENTUM
         running_var += _BN_MOMENTUM * var_t
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)      # (T, C)
-    out_data = np.multiply(d, (gamma.data * inv_std)[:, None, :, None, None],
-                           out=None if recompute is None else d)
+    out_data = np.multiply(d, (gamma.data * inv_std)[:, None, :, None, None], out=d)
     out_data += beta.data[:, None, None]
 
-    def bw(g, x=x, gamma=gamma, beta=beta, d=d if recompute is None else None, mu=mu,
-           inv_std=inv_std, m=m, gd=gamma.data, shape=x5.shape):
+    def bw(g, x=x, gamma=gamma, beta=beta, mu=mu, inv_std=inv_std, m=m, gd=gamma.data,
+           shape=x5.shape):
         g = g.reshape(shape)
         scale = gd * inv_std
         sum_g, sum_gd = np.empty_like(inv_std), np.empty_like(inv_std)
         for t, g_t in enumerate(g):
-            if d is None:
-                d_t = recompute(t)
-                d_t -= mu[t][:, None, None]
-            else:
-                d_t = d[t]
+            d_t = step(t)
+            d_t -= mu[t][:, None, None]
             sum_g[t] = np.einsum("nchw->c", g_t)
             sum_gd[t] = np.einsum("nchw,nchw->c", g_t, d_t)
             # batch statistics depend on x, so the full Jacobian applies:
             # dx = (g - sum_g/m - d*inv_std^2*sum_gd/m) * gamma*inv_std,
-            # written into g; d is scaled in place, since a tape serves one backward
+            # written into g; d_t is this step's own rebuilt copy, so it is scaled in place
             dx = np.multiply(g_t, scale[t][:, None, None], out=g_t)
             d_t *= (scale[t] * inv_std[t]**2 * sum_gd[t] / m)[:, None, None]
             dx -= d_t

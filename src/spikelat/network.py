@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (_BN_EPS, Constant, Tensor, _conv_geometry, avg_pool2d, batchnorm2d,
-                       check_finite, conv2d, conv2d_steps, linear, no_grad, recording,
-                       sigmoid)
+                       check_finite, conv2d, linear, no_grad, recording, sigmoid)
 from .data import seeded_rng
 from .encoder import MAX_TIMESTEPS, latency_encode
 from .errors import ShapeError, SpecError
@@ -70,6 +69,11 @@ class LayerSpec:
             raise SpecError(f"{self.kind} layer needs out <= {MAX_WIDTH}, got {self.out}")
 
 
+def _check_size(name, value, most):
+    if not 1 <= value <= most:
+        raise SpecError(f"{name} must be in [1, {most}], got {value}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
@@ -85,11 +89,8 @@ class ModelSpec:
             raise SpecError(f"input_shape must be (C, H, W), got {self.input_shape}")
         if self.classes < 2:
             raise SpecError("need at least two classes")
-        if not 1 <= self.timesteps <= MAX_TIMESTEPS:
-            raise SpecError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got {self.timesteps}")
-        if not 1 <= self.encoder_channels <= MAX_WIDTH:
-            raise SpecError(f"encoder_channels must be in [1, {MAX_WIDTH}],"
-                            f" got {self.encoder_channels}")
+        _check_size("timesteps", self.timesteps, MAX_TIMESTEPS)
+        _check_size("encoder_channels", self.encoder_channels, MAX_WIDTH)
 
 
 PRESETS = ("mlp-mini", "vgg-mini", "sew-mini")
@@ -105,11 +106,13 @@ def preset_spec(name, input_shape, classes, timesteps=8, hidden=128,
     """
     lif = lif if lif is not None else LifConfig()
     if name == "mlp-mini":
+        _check_size("hidden", hidden, MAX_WIDTH)
         layers = (
             LayerSpec("flatten"),
             LayerSpec("linear", out=hidden),
         )
     elif name in ("vgg-mini", "sew-mini"):
+        _check_size("width", width, MAX_WIDTH // 2)     # the second conv has 2*width channels
         sew = (LayerSpec("sew", out=2 * width),) if name == "sew-mini" else ()
         layers = (
             LayerSpec("conv", out=width),
@@ -239,20 +242,14 @@ class ConvStage(Stage):
         checked for NaN and Inf: what follows a drive could hide them.
 
         While the tape records, the batch norm uses batch statistics and
-        updates the running buffers. On uint8 spike frames it keeps no
-        deviations: its backward recomputes the conv step by step from the
-        spikes, which the conv's backward keeps anyway (Chen et al.,
-        "Training Deep Nets with Sublinear Memory Cost", 2016). Without the
-        tape (eval mode) the batch norm is affine per channel, so it folds
-        into the conv (Jacob et al., CVPR 2018): one conv on the kernel
-        scaled by gamma/sqrt(running_var+eps), then the shift
-        beta - running_mean*scale.
+        updates the running buffers. Without the tape (eval mode) the batch
+        norm is affine per channel, so it folds into the conv (Jacob et al.,
+        CVPR 2018): one conv on the kernel scaled by
+        gamma/sqrt(running_var+eps), then the shift beta - running_mean*scale.
         """
         if recording():
-            c = conv2d(frames, self.k, pad=LayerSpec.pad)
-            spikes = frames.data.dtype == np.uint8
-            h = batchnorm2d(c, self.gamma, self.beta, self.running_mean, self.running_var,
-                            conv2d_steps(frames, self.k, LayerSpec.pad) if spikes else None)
+            h = batchnorm2d(conv2d(frames, self.k, pad=LayerSpec.pad), self.gamma, self.beta,
+                            self.running_mean, self.running_var)
         else:
             scale = self.gamma.data / np.sqrt(self.running_var + _BN_EPS)
             # a result of k and gamma, not a leaf: the check below names the stage

@@ -690,7 +690,7 @@ class TestReleasedValues:
             else:
                 out = lif_unroll(c, LifConfig()).potentials
             assert c.data.size == 0 and c.shape == (2, 3, 2, 4, 4)
-            assert np.shares_memory(out.data, buffer) == (consumer == "lif_unroll")
+            assert np.shares_memory(out.data, buffer)
             with pytest.raises(ContractError, match="read the value of a released 'conv2d'"):
                 c * 2.0
 
@@ -735,63 +735,109 @@ class TestReleasedValues:
 
 
 class TestRecomputedDeviations:
-    """``batchnorm2d``'s ``recompute``: backward rebuilds each step's deviations
-    from ``conv2d_steps`` instead of keeping them, bitwise."""
+    """``batchnorm2d`` keeps no deviations: backward recomputes a recorded
+    conv's steps, bitwise, and reads any other input's kept value."""
+
+    @staticmethod
+    def bn(x, buffers=None):
+        buffers = buffers or (np.full(3, 0.5), np.full(3, 2.0))
+        return batchnorm2d(x, Tensor(np.linspace(0.5, 1.5, 3)), Tensor(np.linspace(-1, 1, 3)),
+                           *buffers)
+
+    @staticmethod
+    def chunks_of_2(monkeypatch):
+        # chunks of 2 images: a folded batch of 15 splits them across steps
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 2 * 8 * 9 * 2 * 4 * 6)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     @pytest.mark.parametrize("shape", [(3, 5, 2, 4, 4), (5, 2, 4, 4)])
-    def test_conv2d_steps_equal_the_folded_conv_in_any_chunking(self, monkeypatch, dtype,
-                                                                shape):
-        rng = np.random.default_rng(21)
+    @pytest.mark.parametrize("owned", [True, False])
+    def test_batchnorm_on_a_conv_equals_batchnorm_on_a_leaf(self, monkeypatch, dtype,
+                                                            shape, owned):
+        self.chunks_of_2(monkeypatch)
+        rng = np.random.default_rng(22)
+        x0 = rng.integers(0, 3, size=shape).astype(dtype)
+        k0 = rng.normal(size=(3, 2, 3, 3))
+        proj = Tensor(rng.normal(size=shape[:-3] + (3, 4, 4)))
+
+        x, k = Tensor(x0), Tensor(k0)
+        c = conv2d(x, k, pad=1)
+        buffer = c.data
+        if not owned:
+            c * 1.0     # read once, so batch norm may not write into it
+        got_buffers = np.full(3, 0.5), np.full(3, 2.0)
+        bn = self.bn(c, got_buffers)
+        assert np.shares_memory(bn.data, buffer) == owned
+        if owned:
+            with pytest.raises(ContractError, match="read the value of a released 'conv2d'"):
+                c * 2.0
+        got = [bn.data.copy(), *bn.parents[1:]]
+        (bn * proj).sum().backward()
+
+        leaf = Tensor(conv2d(Tensor(x0), Tensor(k0), pad=1).data)
+        want_buffers = np.full(3, 0.5), np.full(3, 2.0)
+        ref = self.bn(leaf, want_buffers)
+        want = [ref.data.copy(), *ref.parents[1:]]
+        (ref * proj).sum().backward()
+        # the leaf's gradient, routed through a second conv by a bitwise product
+        x_ref, k_ref = Tensor(x0), Tensor(k0)
+        (conv2d(x_ref, k_ref, pad=1) * Tensor(leaf.grad)).sum().backward()
+        assert np.array_equal(got[0], want[0])
+        assert all(np.array_equal(a, b) for a, b in zip(got_buffers, want_buffers))
+        for a, b in zip(got[1:], want[1:]):     # gamma and beta
+            assert np.array_equal(a.grad, b.grad)
+        assert np.array_equal(x.grad, x_ref.grad) and np.array_equal(k.grad, k_ref.grad)
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x * 1.0,                  # a value of its own that no op has read
+        lambda x: x,
+        lambda x: x.reshape(x.shape),
+        sigmoid,
+        lambda x: Tensor(x.data.round().clip(0, 2).astype(np.uint8)),
+    ])
+    def test_any_other_input_stays_readable_and_unchanged(self, make):
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.normal(size=(2, 3, 3, 4, 4)))
+        t = make(x)
+        value = t.data.copy()
+        out = self.bn(t)
+        assert np.array_equal(t.data, value) and not np.shares_memory(out.data, t.data)
+        ref = self.bn(Tensor(value))
+        assert np.array_equal(out.data, ref.data)
+        proj = Tensor(rng.normal(size=out.shape))
+        grads = []
+        for bn in (out, ref):
+            params = bn.parents[1:]     # gamma and beta
+            (bn * proj).sum().backward()
+            grads.append([p.grad for p in params])
+        assert np.array_equal(t.data, value)
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5, 2, 4, 4), (5, 2, 4, 4)])
+    def test_backward_recomputes_each_step_once_as_the_folded_conv(self, monkeypatch,
+                                                                    dtype, shape):
+        self.chunks_of_2(monkeypatch)
+        rng = np.random.default_rng(23)
         x = Tensor(rng.integers(0, 3, size=shape).astype(dtype))
         k = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        # chunks of 2 images: the folded batch of 15 splits them across steps
-        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 2 * 8 * 9 * 2 * 4 * 6)
-        want = conv2d(x, k, pad=1).data.reshape((-1, 5, 3, 4, 4))
-        steps = autodiff.conv2d_steps(x, k, pad=1)
-        for t, want_t in enumerate(want):
-            assert np.array_equal(steps(t), want_t)
+        c = conv2d(x, k, pad=1)
+        folded = c.data.reshape((-1, 5, 3, 4, 4)).copy()
+        steps, asked, real = x.data.reshape((-1, 5, 2, 4, 4)), [], autodiff._correlate
 
-    @pytest.mark.parametrize("shape", [(3, 5, 2, 4, 4), (5, 2, 4, 4)])
-    @pytest.mark.parametrize("owned", [True, False])
-    def test_batchnorm_equals_keeping_the_deviations(self, shape, owned):
-        rng = np.random.default_rng(22)
-        x0 = rng.integers(0, 2, size=shape).astype(np.uint8)
-        k0, gamma0, beta0 = rng.normal(size=(3, 2, 3, 3)), rng.uniform(0.5, 1.5, 3), \
-            rng.normal(size=3)
-        proj = rng.normal(size=shape[:-3] + (3, 4, 4))
+        def correlate(xs, *args):
+            (t,) = [t for t, x_t in enumerate(steps) if np.shares_memory(xs, x_t)]
+            out = real(xs, *args)
+            asked.append((t, out.copy()))
+            return out
 
-        def run(recompute):
-            x, k, gamma, beta = Tensor(x0), Tensor(k0), Tensor(gamma0), Tensor(beta0)
-            buffers = np.zeros(3), np.ones(3)
-            c = conv2d(x, k, pad=1)
-            buffer = c.data
-            if not owned:
-                c * 1.0     # read once, so batch norm may not write into it
-            steps = autodiff.conv2d_steps(x, k, pad=1) if recompute else None
-            out = batchnorm2d(c, gamma, beta, *buffers, steps)
-            assert np.shares_memory(out.data, buffer) == (owned and recompute)
-            value = out.data.copy()
-            (out * Tensor(proj)).sum().backward()
-            return [value, *buffers, x.grad, k.grad, gamma.grad, beta.grad]
-
-        for got, want in zip(run(True), run(False)):
-            assert np.array_equal(got, want)
-
-    def test_backward_recomputes_one_step_at_a_time(self):
-        rng = np.random.default_rng(23)
-        x, k = Tensor(rng.normal(size=(4, 3, 2, 4, 4))), Tensor(rng.normal(size=(2, 2, 3, 3)))
-        steps, asked = autodiff.conv2d_steps(x, k, pad=1), []
-
-        def recompute(t):
-            asked.append(t)
-            return steps(t)
-
-        out = batchnorm2d(conv2d(x, k, pad=1), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                          np.zeros(2), np.ones(2), recompute)
+        monkeypatch.setattr(autodiff, "_correlate", correlate)
+        out = self.bn(c)
         assert asked == []
         out.sum().backward()
-        assert asked == [0, 1, 2, 3]
+        assert [t for t, _ in asked] == list(range(len(folded)))
+        for t, value in asked:
+            assert np.array_equal(value, folded[t])
 
 
 class TestConstant:
@@ -953,14 +999,15 @@ class TestChunkedConv:
         c = Tensor(g)
         check_grad(lambda t: (conv2d(t, Tensor(k0), pad=pad) * c).sum(), x0)
         check_grad(lambda t: (conv2d(Tensor(x0), t, pad=pad) * c).sum(), k0)
-        # each backward first gathers the gradient's patches, padded by
-        # K-1-pad, for dx (K*K*O rows and H*(W+K-1) columns per image under
-        # the same byte budget), then rebuilds the input's chunk by chunk for dw
+        # backward gathers only the gradient's patches, padded by K-1-pad
+        # (K*K*O rows and H*(W+K-1) columns per image under the same byte
+        # budget), for dx and dw alike: it patches no input
         (n, _, H, W), (O, _, K, _) = x0.shape, k0.shape
         step = max(1, autodiff._CHUNK_BYTES // (8 * K * K * O * H * (W + K - 1)))
         dx_sizes = [min(step, n - a) for a in range(0, n, step)]
-        assert chunk_sizes[: 6 + len(dx_sizes)] == [2, 2, 1] + dx_sizes + [2, 2, 1]
+        chunk_sizes.clear()
         # the gathered dx equals the per-offset scatter to rounding
         x = Tensor(x0)
         (conv2d(x, Tensor(k0), pad=pad) * c).sum().backward()
+        assert chunk_sizes == [2, 2, 1] + dx_sizes
         assert rel_err(x.grad, direct_conv_dx(g, k0, pad, (H, W))) < 1e-12

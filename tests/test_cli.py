@@ -209,17 +209,24 @@ class TestErrorPaths:
         ("train", "train.lr=0", "lr must be positive"),
         ("train", "train.tau=0", "tau must be positive, got 0.0"),
         ("analyze", "analyze.seed=-1000", "corruption seed must be >= 0"),
-        ("train", "model.hidden=0", "linear layer needs out >= 1, got 0"),
+        ("train", "model.hidden=0", "hidden must be in [1, 4096], got 0"),
+        ("train", "model.hidden=5000", "hidden must be in [1, 4096], got 5000"),
         ("train", "model.preset=vgg-mini model.width=0",
-         "conv layer needs out >= 1, got 0"),
+         "width must be in [1, 2048], got 0"),
         ("train", "model.preset=vgg-mini model.width=-2",
-         "conv layer needs out >= 1, got -2"),
+         "width must be in [1, 2048], got -2"),
+        ("train", "model.preset=sew-mini model.width=-2",
+         "width must be in [1, 2048], got -2"),
+        ("train", "model.preset=vgg-mini model.width=4096",
+         "width must be in [1, 2048], got 4096"),
+        ("train", "model.preset=sew-mini model.width=2049",
+         "width must be in [1, 2048], got 2049"),
         ("train", "model.timesteps=1000000000",
          "timesteps must be in [1, 1024], got 1000000000"),
         ("train", "model.hidden=100000000000",
-         "linear layer needs out <= 4096, got 100000000000"),
+         "hidden must be in [1, 4096], got 100000000000"),
         ("train", "model.preset=vgg-mini model.width=100000000000",
-         "conv layer needs out <= 4096, got 100000000000"),
+         "width must be in [1, 2048], got 100000000000"),
         ("train", "model.encoder_channels=100000000000",
          "encoder_channels must be in [1, 4096], got 100000000000"),
         ("encode-demo", "model.timesteps=10000000",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -349,41 +350,72 @@ class TestSpikeBytes:
 
 
 class TestRecomputedDeviations:
-    """On uint8 spike frames batch norm recomputes its conv in backward instead
-    of keeping its deviations, and nothing changes by a bit."""
+    """Every conv stage's batch norm recomputes its conv in backward instead of
+    keeping deviations, and nothing changes by a bit."""
 
     @staticmethod
-    def step(name):
+    def step(name, before_backward=lambda: None):
         """The loss, parameter gradients and buffers after one training step on 16 digits."""
         model = active_model(name)
         ds = synth_digits(16, seed=0)
         loss = tad_loss(model.forward(Tensor(ds.images), training=True).logits, ds.labels)
+        before_backward()
         loss.backward()
         return ({"loss": loss.data}, {n: t.grad for n, t in model.parameters()},
                 {n: a.copy() for n, a in model.buffers()})
 
-    @pytest.mark.parametrize("name, recomputed", [
-        ("vgg-mini", [False, True, False]),             # enc reads images, s2 pooled frames
-        ("sew-mini", [False, True, False, True]),       # s3 reads s2's spikes
-    ])
-    def test_step_is_bitwise_equal_to_one_keeping_the_deviations(
-            self, monkeypatch, name, recomputed):
-        calls = []
+    @pytest.mark.parametrize("name, convs", [("vgg-mini", 3), ("sew-mini", 4)])
+    def test_step_is_bitwise_equal_to_one_reading_the_conv_values(self, monkeypatch, name,
+                                                                  convs):
+        ops, recomputed, real = [], [], autodiff._correlate
 
-        def recording_calls(*args):
-            calls.append(args[5] is not None)
-            return autodiff.batchnorm2d(*args)
+        def recording_calls(x, *args):
+            ops.append(x.op)
+            return autodiff.batchnorm2d(x, *args)
+
+        def correlate(xs, *args):
+            recomputed.append(len(xs))
+            return real(xs, *args)
 
         monkeypatch.setattr(network, "batchnorm2d", recording_calls)
-        got = self.step(name)
-        assert calls == recomputed
+        monkeypatch.setattr(autodiff, "_correlate", correlate)
+        got = self.step(name, recomputed.clear)
+        assert ops == ["conv2d"] * convs
+        # backward recomputes the encoder's one step and each stage's 4, of 16 images each
+        assert recomputed == [16] * (1 + 4 * (convs - 1))
+        # a product by 1.0 is a bitwise copy that batch norm reads back instead
         monkeypatch.setattr(network, "batchnorm2d",
-                            lambda *args: autodiff.batchnorm2d(*args[:5]))
+                            lambda x, *args: autodiff.batchnorm2d(x * 1.0, *args))
         want = self.step(name)
         for got_part, want_part in zip(got, want):
             assert got_part.keys() == want_part.keys()
             for key, a in got_part.items():
                 assert np.array_equal(a, want_part[key]), key
+
+    @pytest.mark.parametrize("name, convs", [("vgg-mini", 3), ("sew-mini", 4)])
+    def test_each_conv_patches_its_input_twice_per_image_step(self, monkeypatch, name,
+                                                              convs):
+        # once in the conv's forward and once in batch norm's recompute: the
+        # conv's backward patches only the upstream gradient
+        inputs, patched = [], []
+        real_conv, real_chunks = network.conv2d, autodiff._patch_chunks
+
+        def conv(frames, *args, **kwargs):
+            inputs.append(frames.data)
+            return real_conv(frames, *args, **kwargs)
+
+        def patch_chunks(xs, *args):
+            patched.append(xs)
+            return real_chunks(xs, *args)
+
+        monkeypatch.setattr(network, "conv2d", conv)
+        monkeypatch.setattr(autodiff, "_patch_chunks", patch_chunks)
+        self.step(name)
+        assert len(inputs) == convs
+        for x in inputs:
+            images = x.size // math.prod(x.shape[-3:])
+            reads = sum(len(xs) for xs in patched if np.shares_memory(xs, x))
+            assert reads == 2 * images, (x.shape, reads)
 
 
 class TestGradientFlow:
@@ -465,16 +497,14 @@ class TestEvalWithoutTape:
 class TestStepMemory:
     # (forward tape, step peak) in s0 blocks, each s0's (T, N, C, H, W) output
     # in float64. The tape holds what backward reads: one boolean surrogate
-    # window per potential for each conv stage, batch norm's deviations where
-    # its conv reads float64 frames (the encoder, s2), and the inputs the
-    # convs and the readout multiply, uint8 where they are spikes; where a
-    # conv reads spikes (s0, sew-mini's s3) batch norm recomputes it in
-    # backward instead of keeping deviations (vgg-mini 1.25 blocks; sew-mini
-    # 1.39). The step peak is 2.52 blocks for vgg-mini and 3.36 for sew-mini
-    # (3.42 and 4.36 with the deviations kept; 5.45 and 6.52 with float64
-    # spikes and fresh buffers for the deviations, potentials and input
-    # gradients).
-    BOUNDS = {"vgg-mini": (1.5, 3.0), "sew-mini": (1.75, 4.0)}
+    # window per potential for each conv stage and the inputs the convs and
+    # the readout multiply, uint8 where they are spikes. Batch norm keeps no
+    # deviations: its backward recomputes each conv step by step from the
+    # input the conv keeps. The tape reads 0.69 blocks for vgg-mini and 0.82
+    # for sew-mini, the step peak 2.46 and 2.85; each bound is about 1.2x its
+    # reading (keeping the deviations of the convs that read float64 frames
+    # read 1.25 and 1.39, peaks 2.52 and 3.36).
+    BOUNDS = {"vgg-mini": (0.85, 2.95), "sew-mini": (1.05, 3.4)}
 
     @pytest.mark.parametrize("name", ["vgg-mini", "sew-mini"])
     def test_tape_and_step_peak_fit_in_s0_blocks(self, name):
